@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race race-core bench-smoke recovery-torture mvcc-stress ingest-stress serve-stress vector-stress
+.PHONY: check build vet test race race-core bench-smoke recovery-torture mvcc-stress ingest-stress serve-stress vector-stress concurrency-repeat
 
 # check is the full CI gate: static analysis, a clean build, and the
 # test suite under the race detector.
@@ -68,6 +68,15 @@ serve-stress:
 	$(GO) test -race -count=2 ./internal/server/
 	$(GO) test -race -count=2 -run 'TestIngestFlusherJoinedOnClose|TestIngestFlusherOpenCloseStress|TestMetricsSnapshotConsistency|TestPreparedConcurrentExecutions|TestPlanCacheStaleness' ./internal/engine/
 	$(GO) test -race -count=1 -run 'TestFig23Smoke' ./internal/bench/
+
+# concurrency-repeat reruns the concurrency unit tests 20 times each, so
+# a broken oracle cannot pass on lucky goroutine scheduling: the MVCC
+# clock, the parallel executor's Gather/GroupBy/HashJoin/Budget tests,
+# and the server's admission control and drain.
+concurrency-repeat:
+	$(GO) test -count=20 ./internal/mvcc/
+	$(GO) test -count=20 -run 'TestGather|TestParallel|TestBudgetConcurrentHammer|TestQueryCtxConcurrentTicks' ./internal/exec/
+	$(GO) test -count=20 -run 'TestAdmission|TestCloseDrainsInFlight' ./internal/server/
 
 # vector-stress exercises the vectorized executor end to end under the
 # race detector: the batch/row differential corpus across batch sizes,

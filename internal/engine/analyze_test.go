@@ -20,11 +20,12 @@ func TestExplainAnalyzeSummaryPredicate(t *testing.T) {
 	q := `SELECT id, name FROM Birds r
 	      WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = 2
 	      ORDER BY name`
-	ap, err := db.ExplainAnalyze(q, nil)
+	// Row mode: the Next-call accounting below is per row.
+	ap, err := db.ExplainAnalyze(q, rowMode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := db.Query(q, nil)
+	plain, err := db.Query(q, rowMode)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,10 +40,10 @@ type Config struct {
 	// optimizer options.
 	MaxParallelWorkers int
 	// MaxBatchSize is the default row-batch capacity for vectorized
-	// pipeline segments (see optimizer.Options.MaxBatchSize). 0 or 1
-	// plans pure row-at-a-time queries, byte-identical to the
-	// pre-vectorized engine; queries can override it per statement
-	// through their optimizer options.
+	// pipeline segments (see optimizer.Options.MaxBatchSize). 0 means
+	// exec.DefaultBatchSize (1024); 1 plans pure row-at-a-time queries,
+	// byte-identical to the pre-vectorized engine. Queries can override
+	// it per statement through their optimizer options.
 	MaxBatchSize int
 	// Faults installs a deterministic pager fault-injection policy on
 	// the database's I/O accountant (testing/chaos harnesses only).
@@ -271,7 +271,7 @@ func newDB(cfg Config, acct *pager.Accountant) *DB {
 	db.stmtTimeout.Store(int64(cfg.StatementTimeout))
 	db.defaultBudget.Store(cfg.Budget)
 	db.maxParallel.Store(int64(cfg.MaxParallelWorkers))
-	db.maxBatch.Store(int64(cfg.MaxBatchSize))
+	db.SetMaxBatchSize(cfg.MaxBatchSize)
 	db.publishLocked() // initial empty epoch; the DB is not shared yet
 	return db
 }
@@ -297,10 +297,15 @@ func (db *DB) SetMaxParallelWorkers(n int) { db.maxParallel.Store(int64(n)) }
 // MaxParallelWorkers returns the current default parallelism cap.
 func (db *DB) MaxParallelWorkers() int { return int(db.maxParallel.Load()) }
 
-// SetMaxBatchSize changes the default vectorized-batch capacity (0 or
-// 1 = row-at-a-time plans). Safe to call while queries are running;
-// each query snapshots the size at planning time.
-func (db *DB) SetMaxBatchSize(n int) { db.maxBatch.Store(int64(n)) }
+// SetMaxBatchSize changes the default vectorized-batch capacity (0 =
+// exec.DefaultBatchSize, 1 = row-at-a-time plans). Safe to call while
+// queries are running; each query snapshots the size at planning time.
+func (db *DB) SetMaxBatchSize(n int) {
+	if n == 0 {
+		n = exec.DefaultBatchSize
+	}
+	db.maxBatch.Store(int64(n))
+}
 
 // MaxBatchSize returns the current default vectorized-batch capacity.
 func (db *DB) MaxBatchSize() int { return int(db.maxBatch.Load()) }

@@ -37,6 +37,10 @@ func compareGolden(t *testing.T, name, got string) {
 	}
 }
 
+// rowMode pins the goldens that predate vectorization by default to
+// the row-at-a-time engine: their files are its byte-for-byte reference.
+var rowMode = &optimizer.Options{MaxBatchSize: 1}
+
 // goldenDB is the shared fixture for the formatting goldens: 40 birds
 // with a Summary-BTree, so plans cover index scans, sorts, and limits.
 func goldenDB(t *testing.T) *DB {
@@ -58,7 +62,7 @@ func TestExplainGolden(t *testing.T) {
 		  WHERE r.family = s.family AND r.id < 5`,
 		"explain_group": `SELECT family FROM Birds b GROUP BY family ORDER BY family LIMIT 2`,
 	} {
-		out, err := db.Explain(q, nil)
+		out, err := db.Explain(q, rowMode)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -72,7 +76,7 @@ func TestExplainGolden(t *testing.T) {
 // pages, so a worker cap of 4 yields a cost-chosen DOP of 3.
 func TestParallelExplainGolden(t *testing.T) {
 	db := goldenDB(t)
-	opts := &optimizer.Options{MaxParallelWorkers: 4}
+	opts := &optimizer.Options{MaxParallelWorkers: 4, MaxBatchSize: 1}
 	for name, q := range map[string]string{
 		"explain_parallel_scan":  `SELECT id FROM Birds b WHERE b.family = 'Corvidae'`,
 		"explain_parallel_group": `SELECT family, count(*) FROM Birds b GROUP BY family`,
@@ -84,7 +88,7 @@ func TestParallelExplainGolden(t *testing.T) {
 		compareGolden(t, name, out)
 	}
 	join, err := db.Explain(`SELECT r.id, s.id FROM Birds r, Birds s WHERE r.family = s.family`,
-		&optimizer.Options{MaxParallelWorkers: 4, ForceJoin: "hash"})
+		&optimizer.Options{MaxParallelWorkers: 4, ForceJoin: "hash", MaxBatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +129,7 @@ func TestParallelSerialGoldenIdentity(t *testing.T) {
 func TestParallelAnalyzeGolden(t *testing.T) {
 	db := goldenDB(t)
 	ap, err := db.ExplainAnalyze(`SELECT family, count(*) FROM Birds b GROUP BY family`,
-		&optimizer.Options{MaxParallelWorkers: 4})
+		&optimizer.Options{MaxParallelWorkers: 4, MaxBatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +161,7 @@ func TestFetchModeGolden(t *testing.T) {
 	db := goldenDB(t)
 	ordered, err := db.Explain(`SELECT id FROM Birds r
 	  WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = 2
-	  ORDER BY r.$.getSummaryObject('ClassBird1').getLabelValue('Disease')`, nil)
+	  ORDER BY r.$.getSummaryObject('ClassBird1').getLabelValue('Disease')`, rowMode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +169,7 @@ func TestFetchModeGolden(t *testing.T) {
 
 	ap, err := db.ExplainAnalyze(`SELECT id, name FROM Birds r
 	  WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = 2
-	  ORDER BY name LIMIT 3`, &optimizer.Options{ForceFetch: "ordered"})
+	  ORDER BY name LIMIT 3`, &optimizer.Options{ForceFetch: "ordered", MaxBatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,6 +183,48 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		  WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = 2
 		  ORDER BY name LIMIT 3`,
 		"analyze_scan": `SELECT id FROM Birds b WHERE b.family = 'Corvidae'`,
+	} {
+		ap, err := db.ExplainAnalyze(q, rowMode)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		compareGolden(t, name, wallTimeRe.ReplaceAllString(ap.String(), "time=<t>"))
+	}
+}
+
+// TestDefaultPlanGolden pins the plans of the default, vectorized
+// engine: the row-mode golden statements, plus the two LIMIT sizings —
+// a summary top-k whose rows reach the LIMIT unfiltered batches
+// min(cap, n) rows, and a LIMIT over a filter starts its scan at n rows
+// and doubles. The ANALYZE files show where the summary fetch went: a
+// data-only filter attaches summaries to the rows that pass it.
+func TestDefaultPlanGolden(t *testing.T) {
+	db := goldenDB(t)
+	topk := `SELECT id FROM Birds r
+	  ORDER BY r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') DESC LIMIT 5`
+	filterLimit := `SELECT id FROM Birds b WHERE b.family = 'Corvidae' LIMIT 5`
+	for name, q := range map[string]string{
+		"explain_default_index": `SELECT id, name FROM Birds r
+		  WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = 2
+		  ORDER BY name`,
+		"explain_default_join": `SELECT r.id, s.id FROM Birds r, Birds s
+		  WHERE r.family = s.family AND r.id < 5`,
+		"explain_default_group":        `SELECT family FROM Birds b GROUP BY family ORDER BY family LIMIT 2`,
+		"explain_default_topk":         topk,
+		"explain_default_filter_limit": filterLimit,
+	} {
+		out, err := db.Explain(q, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		compareGolden(t, name, out)
+	}
+	for name, q := range map[string]string{
+		"analyze_default_index": `SELECT id, name FROM Birds r
+		  WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = 2
+		  ORDER BY name LIMIT 3`,
+		"analyze_default_topk":         topk,
+		"analyze_default_filter_limit": filterLimit,
 	} {
 		ap, err := db.ExplainAnalyze(q, nil)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
 )
@@ -49,7 +50,28 @@ var vectorCorpus = []struct {
 	  WHERE r.family = s.family AND r.id < 5`, optimizer.Options{}},
 	{"order_limit", `SELECT name FROM Birds b ORDER BY name LIMIT 7`, optimizer.Options{}},
 	{"distinct", `SELECT DISTINCT family FROM Birds b`, optimizer.Options{}},
+	{"topk_limit1", `SELECT id, name FROM Birds r
+	  ORDER BY r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') DESC LIMIT 1`,
+		optimizer.Options{}},
+	{"topk_limit50", `SELECT id, name FROM Birds r
+	  ORDER BY r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') DESC LIMIT 50`,
+		optimizer.Options{}},
+	{"limit0", `SELECT id, name FROM Birds b WHERE b.family = 'Corvidae' LIMIT 0`, optimizer.Options{}},
+	{"index_data_filter", `SELECT id, name FROM Birds r WHERE r.id < 60
+	  AND r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') >= 2`, optimizer.Options{}},
+	{"mixed_where", `SELECT id, name FROM Birds r WHERE r.family = 'Laridae'
+	  AND r.$.getSummaryObject('ClassBird1').getLabelValue('Anatomy') >= 1`,
+		optimizer.Options{NoSummaryIndex: true}},
+	{"mixed_or", `SELECT id FROM Birds r WHERE r.family = 'Laridae'
+	  OR r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = 4`, optimizer.Options{}},
+	{"group_filtered", `SELECT family, count(*) FROM Birds r
+	  WHERE r.id > 10 AND r.name <> 'Swan014' GROUP BY family`, optimizer.Options{}},
 }
+
+// rowPlans lists corpus shapes the vectorize pass leaves row-at-a-time:
+// a LIMIT of 0 or 1 reached without a filter bounds every batch to one
+// row.
+var rowPlans = map[string]bool{"topk_limit1": true}
 
 // TestVectorizedDifferential runs the corpus under MaxBatchSize 1, 2,
 // 3, and 1024 and requires byte-identical results (order included: the
@@ -88,45 +110,110 @@ func TestVectorizedDifferential(t *testing.T) {
 			}
 		}
 		// The corpus must actually exercise the vectorized path: every
-		// query's batched plan contains at least one batch-marked scan.
+		// query's batched plan contains at least one batch-marked scan,
+		// except the shapes the pass keeps row-at-a-time.
 		opts := tc.opts
 		opts.MaxBatchSize = 1024
 		res, err := db.Query(tc.q, &opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(plan.Explain(res.Plan), "batch=1024") {
-			t.Fatalf("%s: batched plan has no vectorized segment:\n%s",
-				tc.name, plan.Explain(res.Plan))
+		if got := strings.Contains(plan.Explain(res.Plan), "(batch="); got == rowPlans[tc.name] {
+			t.Fatalf("%s: batched plan has vectorized segments = %v:\n%s",
+				tc.name, got, plan.Explain(res.Plan))
+		}
+	}
+}
+
+// TestVectorizedPageReads pins the I/O side of the default plans
+// against row mode. A LIMIT whose rows reach it unfiltered sizes its
+// batches to the limit, so it reads no more pages than row mode; a
+// data-only filter over a propagating scan fetches summaries only for
+// the rows that pass, so it reads fewer.
+func TestVectorizedPageReads(t *testing.T) {
+	db, _ := testDBWithConfig(t, 100, Config{PageCap: 4})
+	if err := db.CreateSummaryIndex("Birds", "ClassBird1"); err != nil {
+		t.Fatal(err)
+	}
+	reads := func(q string, size int) int64 {
+		t.Helper()
+		ap, err := db.ExplainAnalyze(q, &optimizer.Options{MaxBatchSize: size})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ap.IO.PageReads
+	}
+	for _, q := range []string{
+		`SELECT id, name FROM Birds r
+		  ORDER BY r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') DESC LIMIT 50`,
+		`SELECT id, name FROM Birds r
+		  ORDER BY r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') LIMIT 3`,
+		`SELECT id, name FROM Birds b LIMIT 7`,
+	} {
+		row, batched := reads(q, 1), reads(q, 1024)
+		if batched > row {
+			t.Errorf("unfiltered LIMIT reads %d pages batched, %d in row mode:\n%s", batched, row, q)
+		}
+	}
+	for _, q := range []string{
+		`SELECT id, name FROM Birds b WHERE b.family = 'Corvidae'`,
+		`SELECT id, name FROM Birds r WHERE r.id < 60
+		  AND r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') >= 2`,
+		`SELECT family, count(*) FROM Birds r WHERE r.id > 10 AND r.name <> 'Swan014' GROUP BY family`,
+	} {
+		row, batched := reads(q, 1), reads(q, 1024)
+		if batched >= row {
+			t.Errorf("filtered propagating scan reads %d pages batched, %d in row mode:\n%s", batched, row, q)
 		}
 	}
 }
 
 // TestVectorizedSerialGoldenIdentity is the MaxBatchSize=1 contract:
-// an explicit batch size of 1 must produce plans byte-identical to the
-// default (vectorization off) — the same identity the parallel pass
-// guarantees for MaxParallelWorkers=1.
+// a batch size of 1, per statement or as the engine default, plans
+// exactly the row-at-a-time plans the pre-vectorization goldens pin.
 func TestVectorizedSerialGoldenIdentity(t *testing.T) {
 	db := goldenDB(t)
-	for _, q := range []string{
-		`SELECT id, name FROM Birds r
+	rowDB, _ := testDBWithConfig(t, 40, Config{PageCap: 16, MaxBatchSize: 1})
+	if err := rowDB.CreateSummaryIndex("Birds", "ClassBird1"); err != nil {
+		t.Fatal(err)
+	}
+	for name, q := range map[string]string{
+		"explain_index": `SELECT id, name FROM Birds r
 		  WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = 2
 		  ORDER BY name`,
-		`SELECT r.id, s.id FROM Birds r, Birds s
+		"explain_join": `SELECT r.id, s.id FROM Birds r, Birds s
 		  WHERE r.family = s.family AND r.id < 5`,
-		`SELECT family FROM Birds b GROUP BY family ORDER BY family LIMIT 2`,
+		"explain_group": `SELECT family FROM Birds b GROUP BY family ORDER BY family LIMIT 2`,
 	} {
-		serial, err := db.Explain(q, nil)
+		capped, err := db.Explain(q, rowMode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		capped, err := db.Explain(q, &optimizer.Options{MaxBatchSize: 1})
+		compareGolden(t, name, capped)
+		byConfig, err := rowDB.Explain(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if serial != capped {
-			t.Errorf("MaxBatchSize=1 changes the plan:\n%s\nvs\n%s", capped, serial)
+		if byConfig != capped {
+			t.Errorf("Config.MaxBatchSize=1 plans differently from Options.MaxBatchSize=1:\n%s\nvs\n%s", byConfig, capped)
 		}
+	}
+}
+
+// TestDefaultBatchSize pins the engine default: a zero configuration
+// reports exec.DefaultBatchSize, 1 keeps row-at-a-time, and setting 0
+// restores the default.
+func TestDefaultBatchSize(t *testing.T) {
+	if got := New(Config{}).MaxBatchSize(); got != exec.DefaultBatchSize {
+		t.Fatalf("zero Config: MaxBatchSize() = %d, want %d", got, exec.DefaultBatchSize)
+	}
+	db := New(Config{MaxBatchSize: 1})
+	if got := db.MaxBatchSize(); got != 1 {
+		t.Fatalf("Config{MaxBatchSize: 1}: MaxBatchSize() = %d", got)
+	}
+	db.SetMaxBatchSize(0)
+	if got := db.MaxBatchSize(); got != exec.DefaultBatchSize {
+		t.Fatalf("SetMaxBatchSize(0): MaxBatchSize() = %d, want %d", got, exec.DefaultBatchSize)
 	}
 }
 

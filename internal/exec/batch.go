@@ -27,6 +27,24 @@ const DefaultBatchSize = 1024
 // knob cannot make every scan allocate gigantic row vectors.
 const MaxBatchSize = 65536
 
+// batchGrowth sizes a scan's successive batches: next rows first (when
+// next > 0), doubling per batch until it reaches the scan's capacity.
+type batchGrowth struct{ next int }
+
+// size returns the row count of the next batch for a scan of the given
+// capacity (<= 1: DefaultBatchSize).
+func (g *batchGrowth) size(capacity int) int {
+	if capacity <= 1 {
+		capacity = DefaultBatchSize
+	}
+	if g.next <= 0 || g.next >= capacity {
+		return capacity
+	}
+	n := g.next
+	g.next *= 2
+	return n
+}
+
 // Batch is a row vector exchanged between batched operators, with an
 // optional selection vector: filters qualify rows by compacting sel
 // instead of copying or moving them, so a selective predicate costs

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/model"
@@ -197,5 +198,69 @@ func TestMidBatchCancellationStopsWithinOneBatch(t *testing.T) {
 	if delivered > batch {
 		t.Fatalf("cancel at row %d leaked past one batch boundary: %d rows delivered (batch=%d)",
 			cancelAt, delivered, batch)
+	}
+}
+
+// TestScanBatchGrowth pins the LIMIT sizing of a scan with BatchStart:
+// batches of start rows doubling per batch up to BatchSize, restarting
+// on every Open.
+func TestScanBatchGrowth(t *testing.T) {
+	f := newOpsFixture(t, 40, 0)
+	scan := NewSeqScan(f.r, "r", false)
+	scan.BatchSize, scan.BatchStart = 16, 3
+	for run := 0; run < 2; run++ {
+		if err := scan.Open(); err != nil {
+			t.Fatal(err)
+		}
+		var sizes []int
+		for {
+			b, err := scan.NextBatch(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			sizes = append(sizes, b.Len())
+			b.Release()
+		}
+		scan.Close()
+		if fmt.Sprint(sizes) != "[3 6 12 16 3]" {
+			t.Fatalf("run %d: batch sizes %v, want [3 6 12 16 3]", run, sizes)
+		}
+	}
+}
+
+// TestFilterAttachesSummariesToPassingRows checks the deferred summary
+// fetch: over a non-propagating scan, a filter with AttachFrom gives
+// exactly the rows that pass the same summaries and alias sets a
+// propagating scan would have, in both execution modes.
+func TestFilterAttachesSummariesToPassingRows(t *testing.T) {
+	f := newOpsFixture(t, 30, 0)
+	want, err := Collect(NewFilter(NewSeqScan(f.r, "r", true), mustExpr(t, "r.a > 10 AND r.a < 25"), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range []int{1, 4} {
+		scan := NewSeqScan(f.r, "r", false)
+		scan.BatchSize = batch
+		filt := NewFilter(scan, mustExpr(t, "r.a > 10 AND r.a < 25"), nil)
+		filt.BatchSize = batch
+		filt.AttachFrom, filt.AttachAlias = f.r, "r"
+		got, err := Collect(NewBatchToRow(filt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("batch=%d: %d rows, want %d", batch, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Tuple.String() != want[i].Tuple.String() ||
+				got[i].Tuple.Summaries.String() != want[i].Tuple.Summaries.String() ||
+				got[i].SetFor("r").String() != want[i].SetFor("r").String() {
+				t.Fatalf("batch=%d row %d: %s / %s, want %s / %s", batch, i,
+					got[i].Tuple, got[i].Tuple.Summaries, want[i].Tuple, want[i].Tuple.Summaries)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"strings"
 
+	"repro/internal/catalog"
 	"repro/internal/model"
 	"repro/internal/sql"
 )
@@ -23,6 +24,12 @@ type PredicateFilter struct {
 	// BatchSize > 1 means the compiler drives this filter through
 	// NextBatch; Next() is unaffected either way.
 	BatchSize int
+	// AttachFrom, when set, is the table of the scan below, compiled
+	// without propagation: this filter attaches the summary sets (under
+	// AttachAlias) to the rows that pass it, so rows the data-only
+	// predicate rejects never have their summaries read.
+	AttachFrom  *catalog.Table
+	AttachAlias string
 
 	ev    *Evaluator
 	bin   BatchOperator
@@ -70,9 +77,20 @@ func (f *PredicateFilter) Next() (row *Row, err error) {
 			return nil, err
 		}
 		if ok {
+			f.attach(row)
 			return row, nil
 		}
 	}
+}
+
+// attach gives a passing row its summary sets when the filter took the
+// fetch over from the scan below.
+func (f *PredicateFilter) attach(row *Row) {
+	if f.AttachFrom == nil {
+		return
+	}
+	row.Tuple.Summaries = f.AttachFrom.GetSummaries(row.Tuple.OID)
+	row.AliasSets = aliasSet(f.AttachAlias, row.Tuple.Summaries)
 }
 
 // NextBatch filters input batches with the bound predicate, compacting
@@ -90,6 +108,9 @@ func (f *PredicateFilter) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 			return nil, err
 		}
 		if b.Len() > 0 {
+			for i := 0; i < b.Len(); i++ {
+				f.attach(b.Row(i))
+			}
 			return b, nil
 		}
 		b.Release()

@@ -62,11 +62,15 @@ type SummaryIndexScan struct {
 	// NextBatch; Next() is unaffected either way. Batching preserves the
 	// fetch order of both modes (it only groups consecutive rows).
 	BatchSize int
+	// BatchStart > 0 makes the first batch that many rows, doubling per
+	// batch up to BatchSize.
+	BatchStart int
 
 	schema *model.Schema
 	hits   []heap.RID
 	pos    int
 	qc     *QueryCtx
+	grow   batchGrowth
 
 	// buf holds the rows of the current page run in sorted mode.
 	buf    []*Row
@@ -154,6 +158,7 @@ func (s *SummaryIndexScan) Open() (err error) {
 	}
 	s.pos = 0
 	s.buf, s.bufPos = nil, 0
+	s.grow = batchGrowth{next: s.BatchStart}
 	s.pagesPinned = 0
 	s.distinctPages = int64(distinctPageCount(s.hits))
 	return nil
@@ -221,10 +226,7 @@ func (s *SummaryIndexScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	if err := qc.check(); err != nil {
 		return nil, err
 	}
-	size := s.BatchSize
-	if size <= 1 {
-		size = DefaultBatchSize
-	}
+	size := s.grow.size(s.BatchSize)
 	b = GetBatch(size)
 	for b.Len() < size {
 		if s.bufPos < len(s.buf) {

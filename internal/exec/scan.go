@@ -29,10 +29,14 @@ type SeqScan struct {
 	// BatchSize > 1 means the compiler drives this scan through
 	// NextBatch; Next() is unaffected either way.
 	BatchSize int
+	// BatchStart > 0 makes the first batch that many rows, doubling per
+	// batch up to BatchSize.
+	BatchStart int
 
 	schema *model.Schema
 	cursor *heap.Cursor[[]model.Value]
 	qc     *QueryCtx
+	grow   batchGrowth
 }
 
 // NewSeqScan builds a sequential scan.
@@ -61,6 +65,7 @@ func (s *SeqScan) Open() (err error) {
 	} else {
 		s.cursor = s.Table.Data.Cursor()
 	}
+	s.grow = batchGrowth{next: s.BatchStart}
 	return nil
 }
 
@@ -92,10 +97,7 @@ func (s *SeqScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	if err := qc.check(); err != nil {
 		return nil, err
 	}
-	size := s.BatchSize
-	if size <= 1 {
-		size = DefaultBatchSize
-	}
+	size := s.grow.size(s.BatchSize)
 	b = GetBatch(size)
 	var rows []Row
 	var tuples []model.Tuple

@@ -202,9 +202,45 @@ func mergeClusterReps(a, b []Rep, lookup AnnotationLookup) []Rep {
 	return out
 }
 
-// unionIDs returns the sorted union of two sorted ID slices. Inputs may
-// be unsorted; the result is always sorted and duplicate-free.
+// unionIDs returns the sorted union of two ID slices. Element lists
+// are kept strictly ascending, so the common case is a linear merge;
+// inputs that are not (unsorted or with duplicates) take the map-and-sort
+// path. Either way the result is sorted and duplicate-free.
 func unionIDs(a, b []int64) []int64 {
+	if !strictlyAscending(a) || !strictlyAscending(b) {
+		return unionIDsUnsorted(a, b)
+	}
+	out := make([]int64, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
+}
+
+func strictlyAscending(ids []int64) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// unionIDsUnsorted is unionIDs for arbitrary inputs.
+func unionIDsUnsorted(a, b []int64) []int64 {
 	set := make(map[int64]bool, len(a)+len(b))
 	for _, id := range a {
 		set[id] = true

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -279,6 +280,46 @@ func TestMergeClusterPartitionProperty(t *testing.T) {
 			if n != 1 {
 				t.Fatalf("iter %d: element %d in %d groups", iter, id, n)
 			}
+		}
+	}
+}
+
+// TestUnionIDsMatchesMapAndSort checks the linear merge against the
+// map-and-sort union on random inputs: sorted distinct lists (the merge
+// path), and unsorted or duplicate-carrying lists (the fallback). The
+// outputs must be identical, including empty-but-non-nil results.
+func TestUnionIDsMatchesMapAndSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	gen := func() []int64 {
+		n := rng.Intn(12)
+		if n == 0 && rng.Intn(2) == 0 {
+			return nil
+		}
+		ids := make([]int64, n)
+		for i := range ids {
+			ids[i] = int64(rng.Intn(30))
+		}
+		switch rng.Intn(3) {
+		case 0: // sorted and distinct
+			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+			out := ids[:0]
+			for i, id := range ids {
+				if i == 0 || id != ids[i-1] {
+					out = append(out, id)
+				}
+			}
+			ids = out
+		case 1: // sorted, duplicates kept
+			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		}
+		return ids
+	}
+	for iter := 0; iter < 5000; iter++ {
+		a, b := gen(), gen()
+		want := unionIDsUnsorted(append([]int64(nil), a...), append([]int64(nil), b...))
+		got := unionIDs(a, b)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("iter %d: unionIDs(%v, %v) = %v, map-and-sort %v", iter, a, b, got, want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -157,34 +158,47 @@ func (o *SummaryObject) RepIndexByLabel(label string) int {
 }
 
 // String renders a deterministic, paper-figure-like form, e.g.
-// "ClassBird1[(Behavior,33),(Disease,8)]".
+// "ClassBird1[(Behavior,33),(Disease,8)]". Texts longer than 20 bytes
+// are cut to their first 17 bytes plus "..." and quoted as %q would.
+// The bytes are appended directly rather than through fmt: the
+// rendering sits on the served-response path.
 func (o *SummaryObject) String() string {
-	var b strings.Builder
-	b.WriteString(o.InstanceID)
-	b.WriteByte('[')
+	b := make([]byte, 0, len(o.InstanceID)+2+24*len(o.Reps))
+	b = append(b, o.InstanceID...)
+	b = append(b, '[')
 	for i, r := range o.Reps {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
 		switch o.Type {
 		case SummaryClassifier:
-			fmt.Fprintf(&b, "(%s,%d)", r.Label, r.Count)
+			b = append(b, '(')
+			b = append(b, r.Label...)
+			b = append(b, ',')
+			b = strconv.AppendInt(b, int64(r.Count), 10)
+			b = append(b, ')')
 		case SummaryCluster:
-			text := r.Text
-			if len(text) > 20 {
-				text = text[:17] + "..."
-			}
-			fmt.Fprintf(&b, "(%q,%d)", text, r.Count)
+			b = append(b, '(')
+			b = strconv.AppendQuote(b, truncateText(r.Text))
+			b = append(b, ',')
+			b = strconv.AppendInt(b, int64(r.Count), 10)
+			b = append(b, ')')
 		case SummarySnippet:
-			text := r.Text
-			if len(text) > 20 {
-				text = text[:17] + "..."
-			}
-			fmt.Fprintf(&b, "(%q)", text)
+			b = append(b, '(')
+			b = strconv.AppendQuote(b, truncateText(r.Text))
+			b = append(b, ')')
 		}
 	}
-	b.WriteByte(']')
-	return b.String()
+	b = append(b, ']')
+	return string(b)
+}
+
+// truncateText shortens a representative's text for String.
+func truncateText(text string) string {
+	if len(text) > 20 {
+		return text[:17] + "..."
+	}
+	return text
 }
 
 // Equal reports whether two summary objects carry the same logical

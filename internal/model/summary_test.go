@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -148,6 +149,64 @@ func TestObjectString(t *testing.T) {
 	}
 	if s := snippetObj().String(); !strings.Contains(s, "\"") {
 		t.Errorf("snippet String = %q", s)
+	}
+}
+
+// fmtObjectString is the fmt-based rendering String must reproduce
+// byte for byte.
+func fmtObjectString(o *SummaryObject) string {
+	var b strings.Builder
+	b.WriteString(o.InstanceID)
+	b.WriteByte('[')
+	for i, r := range o.Reps {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		text := r.Text
+		if len(text) > 20 {
+			text = text[:17] + "..."
+		}
+		switch o.Type {
+		case SummaryClassifier:
+			fmt.Fprintf(&b, "(%s,%d)", r.Label, r.Count)
+		case SummaryCluster:
+			fmt.Fprintf(&b, "(%q,%d)", text, r.Count)
+		case SummarySnippet:
+			fmt.Fprintf(&b, "(%q)", text)
+		}
+	}
+	b.WriteByte(']')
+	return b.String()
+}
+
+func TestObjectStringMatchesFmt(t *testing.T) {
+	texts := []string{
+		"",
+		"short",
+		`say "hi" \ back`,
+		"exactly twenty bytes",
+		"twenty-one bytes long",
+		"tab\there and a newline\n",
+		"Größe: Gänse über Seen", // two-byte rune cut at byte 17
+		"渡り鳥の観察記録と写真",            // three-byte runes, cut mid-rune
+		"\x00control\x7fbytes",
+		"emoji 🦢 swan notes here",
+	}
+	objs := []*SummaryObject{classBird1(), snippetObj(), clusterObj(),
+		{InstanceID: "Empty", Type: SummaryClassifier}}
+	cls := &SummaryObject{InstanceID: "C\"q", Type: SummaryClassifier}
+	clu := &SummaryObject{InstanceID: "SimCluster", Type: SummaryCluster}
+	snip := &SummaryObject{InstanceID: "TextSummary1", Type: SummarySnippet}
+	for i, text := range texts {
+		cls.Reps = append(cls.Reps, Rep{Label: text, Count: i - 3})
+		clu.Reps = append(clu.Reps, Rep{Text: text, Count: 1000 * i})
+		snip.Reps = append(snip.Reps, Rep{Text: text})
+	}
+	objs = append(objs, cls, clu, snip)
+	for _, o := range objs {
+		if got, want := o.String(), fmtObjectString(o); got != want {
+			t.Errorf("%s: String = %q, fmt rendering %q", o.InstanceID, got, want)
+		}
 	}
 }
 

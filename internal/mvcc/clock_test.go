@@ -95,7 +95,9 @@ func TestClockWaitIdle(t *testing.T) {
 
 func TestClockConcurrentPins(t *testing.T) {
 	c := New()
-	c.Publish(0)
+	// Epoch e carries value e: the first Publish creates epoch 1 (epoch 0
+	// is "before the first publish"), so readers can check the pairing.
+	c.Publish(1)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < 8; i++ {
@@ -121,7 +123,7 @@ func TestClockConcurrentPins(t *testing.T) {
 			}
 		}()
 	}
-	for e := 1; e <= 1000; e++ {
+	for e := 2; e <= 1000; e++ {
 		c.Publish(e)
 	}
 	close(stop)

@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 
+	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/sql"
@@ -29,6 +30,31 @@ func usesDollar(exprs ...sql.Expr) bool {
 		}
 	}
 	return false
+}
+
+// scanLeaf names the table and alias of a scan leaf.
+type scanLeaf struct {
+	table *catalog.Table
+	alias string
+}
+
+// deferrableLeaf returns the scan at the bottom of a batched data-only
+// Select's input whose summary fetch the Select can take over: the path
+// down to it may hold only further Selects whose predicates read no $,
+// so nothing between the scan and the top Select looks at summaries.
+// Nil otherwise.
+func deferrableLeaf(n plan.Node) *scanLeaf {
+	switch v := n.(type) {
+	case *plan.Select:
+		if !usesDollar(v.Pred) {
+			return deferrableLeaf(v.Child)
+		}
+	case *plan.Scan:
+		return &scanLeaf{v.Table, v.Alias}
+	case *plan.SummaryIndexScanNode:
+		return &scanLeaf{v.Table, v.Alias}
+	}
+	return nil
 }
 
 // compile lowers one node; need reports whether operators above n
@@ -97,7 +123,7 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator,
 	case *plan.Scan:
 		s := exec.NewSeqScan(node.Table, node.Alias, need)
 		s.Part = opts.part
-		s.BatchSize = node.Batch
+		s.BatchSize, s.BatchStart = node.Batch, node.BatchStart
 		return s, nil
 
 	case *plan.GatherNode:
@@ -116,7 +142,7 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator,
 		s.Descending = node.Descending
 		s.SortedFetch = node.FetchSorted
 		s.Part = opts.part
-		s.BatchSize = node.Batch
+		s.BatchSize, s.BatchStart = node.Batch, node.BatchStart
 		return s, nil
 
 	case *plan.BaselineIndexScanNode:
@@ -142,12 +168,23 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator,
 		return p, nil
 
 	case *plan.Select:
-		child, err := compile(node.Child, env, childBatchOpts(opts, node.Batch), need || usesDollar(node.Pred))
+		dollar := usesDollar(node.Pred)
+		// A batched data-only filter over a batched scan takes the
+		// summary fetch over: the scan runs without propagation and the
+		// filter attaches summaries to the rows that pass.
+		var leaf *scanLeaf
+		if need && !dollar && node.Batch > 1 {
+			leaf = deferrableLeaf(node.Child)
+		}
+		child, err := compile(node.Child, env, childBatchOpts(opts, node.Batch), dollar || (need && leaf == nil))
 		if err != nil {
 			return nil, err
 		}
 		f := exec.NewFilter(child, node.Pred, env.Lookup)
 		f.BatchSize = node.Batch
+		if leaf != nil {
+			f.AttachFrom, f.AttachAlias = leaf.table, leaf.alias
+		}
 		return f, nil
 
 	case *plan.SummarySelect:

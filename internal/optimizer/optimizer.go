@@ -62,8 +62,9 @@ type Options struct {
 	MaxParallelWorkers int
 	// MaxBatchSize caps the row-batch capacity of vectorized pipeline
 	// segments (scan → filter → project chains exchanging row vectors
-	// instead of single rows). 0 means the engine default; 1 (or a zero
-	// engine default) disables vectorization entirely — pure
+	// instead of single rows). 0 means the engine default (1024 unless
+	// the engine is configured otherwise; the optimizer alone treats 0
+	// as no vectorization); 1 disables vectorization entirely — pure
 	// row-at-a-time plans, byte-identical to the pre-vectorized engine.
 	// Values above exec.MaxBatchSize are clamped.
 	MaxBatchSize int

@@ -14,6 +14,15 @@ import (
 // GatherNode too (each worker pipeline batches independently). With
 // MaxBatchSize <= 1 it is the identity and plans compile exactly as
 // before — the property the serial-golden identity tests pin.
+//
+// A LIMIT bounds the batches below it: a segment whose rows reach the
+// LIMIT through operators that keep every row (projections, an
+// eliminated sort, summary projections and filters) reads at most n
+// rows, so it batches min(cap, n) rows at a time — and runs row at a
+// time when that is 1. With a row-dropping filter in between, the scan
+// starts at n rows and doubles per batch up to the cap, so a selective
+// filter still reaches full batches while an unselective one stops
+// after about n rows.
 
 // vectorize marks every vectorizable pipeline segment of the plan with
 // the configured batch size.
@@ -25,52 +34,95 @@ func (rw *rewriter) vectorize(n plan.Node) plan.Node {
 	if size > exec.MaxBatchSize {
 		size = exec.MaxBatchSize
 	}
-	vectorizeNode(n, size)
+	vectorizeNode(n, size, unbounded)
 	return n
+}
+
+// rowBound is how many rows the consumers above a subtree may read:
+// at most n (n < 0: no bound). filtered records a row-dropping filter
+// between the LIMIT and the subtree, which may then have to produce
+// more than n rows.
+type rowBound struct {
+	n        int
+	filtered bool
+}
+
+var unbounded = rowBound{n: -1}
+
+// child returns the bound node n passes to its child. A LIMIT sets it;
+// operators that keep every row pass it through; filters pass it on
+// marked filtered; anything else (sorts, aggregation, joins, Distinct,
+// Gather) may read its whole input and drops it.
+func (b rowBound) child(n plan.Node) rowBound {
+	switch v := n.(type) {
+	case *plan.LimitNode:
+		if b.n < 0 || v.N <= b.n {
+			return rowBound{n: v.N}
+		}
+		return b
+	case *plan.ProjectNode, *plan.SummaryProject, *plan.SummaryFilterNode:
+		return b
+	case *plan.SortNode:
+		if v.Eliminated {
+			return b
+		}
+	case *plan.Select, *plan.SummarySelect:
+		b.filtered = true
+		return b
+	}
+	return unbounded
 }
 
 // vectorizeNode marks maximal vectorizable chains and recurses through
 // everything else. A chain is marked from its top so one shim covers
 // the whole segment.
-func vectorizeNode(n plan.Node, size int) {
+func vectorizeNode(n plan.Node, size int, bound rowBound) {
 	if vectorizable(n) {
-		markBatch(n, size)
+		markSegment(n, size, bound)
 		return
 	}
 	switch node := n.(type) {
-	case *plan.GatherNode:
-		vectorizeNode(node.Child, size)
-	case *plan.GroupByNode:
-		vectorizeNode(node.Child, size)
-	case *plan.SortNode:
-		vectorizeNode(node.Child, size)
-	case *plan.DistinctNode:
-		vectorizeNode(node.Child, size)
-	case *plan.LimitNode:
-		vectorizeNode(node.Child, size)
-	case *plan.ProjectNode:
-		vectorizeNode(node.Child, size)
-	case *plan.Select:
-		vectorizeNode(node.Child, size)
-	case *plan.SummarySelect:
-		vectorizeNode(node.Child, size)
-	case *plan.SummaryFilterNode:
-		vectorizeNode(node.Child, size)
-	case *plan.SummaryProject:
-		vectorizeNode(node.Child, size)
 	case *plan.Join:
-		vectorizeNode(node.Left, size)
+		vectorizeNode(node.Left, size, unbounded)
 		if !node.UseIndex {
 			// The inner side of an index join is probed, never iterated;
 			// a parallel-build right side batches inside its workers.
-			vectorizeNode(node.Right, size)
+			vectorizeNode(node.Right, size, unbounded)
 		}
 	case *plan.SummaryJoin:
-		vectorizeNode(node.Left, size)
+		vectorizeNode(node.Left, size, unbounded)
 		if !node.UseIndex {
-			vectorizeNode(node.Right, size)
+			vectorizeNode(node.Right, size, unbounded)
+		}
+	default:
+		for _, c := range n.Children() {
+			vectorizeNode(c, size, bound.child(n))
 		}
 	}
+}
+
+// markSegment sizes a vectorizable chain from the bound at its leaf and
+// marks it, leaving it row-at-a-time when the bound allows one row per
+// batch at most.
+func markSegment(top plan.Node, size int, bound rowBound) {
+	// Chain members have one child each; the scan leaf has none.
+	for n := top; len(n.Children()) == 1; n = n.Children()[0] {
+		bound = bound.child(n)
+	}
+	batch, start := size, 0
+	switch {
+	case bound.n < 0:
+	case bound.filtered:
+		if bound.n < size {
+			start = max(bound.n, 1)
+		}
+	default:
+		batch = min(size, bound.n)
+	}
+	if batch <= 1 {
+		return
+	}
+	markBatch(top, batch, start)
 }
 
 // vectorizable reports whether the subtree is a chain of convertible
@@ -100,32 +152,30 @@ func vectorizable(n plan.Node) bool {
 	return false
 }
 
-// markBatch stamps the batch size down a vectorizable chain.
-func markBatch(n plan.Node, size int) {
+// markBatch stamps the batch size down a vectorizable chain, and the
+// growing first-batch size (0: none) on its scan leaf.
+func markBatch(n plan.Node, size, start int) {
 	switch v := n.(type) {
 	case *plan.Scan:
-		v.Batch = size
+		v.Batch, v.BatchStart = size, start
+		return
 	case *plan.SummaryIndexScanNode:
-		v.Batch = size
+		v.Batch, v.BatchStart = size, start
+		return
 	case *plan.Select:
 		v.Batch = size
-		markBatch(v.Child, size)
 	case *plan.SummarySelect:
 		v.Batch = size
-		markBatch(v.Child, size)
 	case *plan.SummaryFilterNode:
 		v.Batch = size
-		markBatch(v.Child, size)
 	case *plan.SummaryProject:
 		v.Batch = size
-		markBatch(v.Child, size)
 	case *plan.ProjectNode:
 		v.Batch = size
-		markBatch(v.Child, size)
 	case *plan.LimitNode:
 		v.Batch = size
-		markBatch(v.Child, size)
 	}
+	markBatch(n.Children()[0], size, start)
 }
 
 // planBatchSize reports a node's batch mark (0 when unmarked); the

@@ -25,12 +25,16 @@ type Node interface {
 }
 
 // batchSuffix renders the vectorization mark EXPLAIN shows on batched
-// leaf scans; empty in row mode so existing plans render unchanged.
-func batchSuffix(n int) string {
-	if n > 1 {
-		return fmt.Sprintf(" (batch=%d)", n)
+// leaf scans — "(batch=start..n)" when the batches grow from start —
+// and is empty in row mode so existing plans render unchanged.
+func batchSuffix(n, start int) string {
+	switch {
+	case n <= 1:
+		return ""
+	case start > 0:
+		return fmt.Sprintf(" (batch=%d..%d)", start, n)
 	}
-	return ""
+	return fmt.Sprintf(" (batch=%d)", n)
 }
 
 // vecSuffix marks a streaming operator lowered into a batched pipeline
@@ -50,6 +54,10 @@ type Scan struct {
 	// segment exchanging row batches of that capacity (optimizer
 	// vectorize pass).
 	Batch int
+	// BatchStart > 0 makes the first batch that many rows, doubling per
+	// batch up to Batch: the sizing under a LIMIT with a row-dropping
+	// filter between it and the scan.
+	BatchStart int
 
 	schema *model.Schema
 }
@@ -70,7 +78,7 @@ func (s *Scan) Children() []Node { return nil }
 
 // Describe renders the node.
 func (s *Scan) Describe() string {
-	return fmt.Sprintf("SeqScan %s AS %s%s", s.Table.Name, s.Alias, batchSuffix(s.Batch))
+	return fmt.Sprintf("SeqScan %s AS %s%s", s.Table.Name, s.Alias, batchSuffix(s.Batch, s.BatchStart))
 }
 
 // SummaryIndexScanNode is an access path replacing a Scan: a
@@ -97,6 +105,8 @@ type SummaryIndexScanNode struct {
 	// Batch > 1 marks the scan as the leaf of a vectorized pipeline
 	// segment (both fetch modes batch; row order is unchanged).
 	Batch int
+	// BatchStart is the growing first-batch size, as on Scan.
+	BatchStart int
 
 	schema *model.Schema
 }
@@ -132,7 +142,7 @@ func (s *SummaryIndexScanNode) Describe() string {
 	}
 	return fmt.Sprintf("SummaryBTreeScan %s AS %s ON %s.%s %s %d%s%s%s",
 		s.Table.Name, s.Alias, s.Instance, s.Label, s.Op, s.Constant, ord, fetch,
-		batchSuffix(s.Batch))
+		batchSuffix(s.Batch, s.BatchStart))
 }
 
 // BaselineIndexScanNode is the baseline-scheme access path.

@@ -45,9 +45,9 @@ type Config struct {
 	// the built database caches optimized plans for the prepared /
 	// QueryCached paths (0 = no cache, classic behavior everywhere).
 	PlanCacheSize int
-	// MaxBatchSize passes through engine.Config.MaxBatchSize: when > 1
-	// the built database plans vectorized pipeline segments by default
-	// (0 or 1 = row-at-a-time planning).
+	// MaxBatchSize passes through engine.Config.MaxBatchSize: the batch
+	// capacity of vectorized pipeline segments (0 = the engine default
+	// of 1024, 1 = row-at-a-time planning).
 	MaxBatchSize int
 	// SkipSynonyms omits the Synonyms table for single-table workloads.
 	SkipSynonyms bool
