@@ -20,11 +20,13 @@ race:
 
 # race-core focuses the race detector on the layers that share a buffer
 # pool across parallel scan workers, with extra iterations on the
-# page-partitioned parallel index fetch and the lock-free epoch readers.
+# page-partitioned parallel index fetch, the lock-free epoch readers and
+# the server's drain gate.
 race-core:
 	$(GO) test -race ./internal/engine/... ./internal/exec/...
 	$(GO) test -race -count=4 -run 'TestParallelSortedFetchMatchesSerial|TestSummaryIndexScanPartitionedConcatenation' ./internal/engine/... ./internal/exec/...
 	$(GO) test -race -count=2 -run 'TestEpochReaderStress' ./internal/engine/
+	$(GO) test -race -count=10 -run 'TestCloseDrainsInFlight|TestAdmission' ./internal/server
 
 # bench-smoke regenerates one representative figure plus the parallel
 # speedup, buffer-pool, and group-commit grids at the reduced quick

@@ -113,6 +113,9 @@ func TestStatementTimeout(t *testing.T) {
 // the hash plan, while sort-based plans complete by spilling within the
 // temp-file allowance.
 func TestBudgetHashJoinVsSortSpill(t *testing.T) {
+	// Spill into a directory of this test's own, so sort runs written by
+	// tests of other packages running at the same time are not counted.
+	t.Setenv("TMPDIR", t.TempDir())
 	db, _ := testDB(t, 30)
 	tight := exec.NewBudget(20, 0, 1<<30) // < 30 build rows, ample spill
 

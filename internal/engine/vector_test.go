@@ -66,6 +66,12 @@ var vectorCorpus = []struct {
 	  OR r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = 4`, optimizer.Options{}},
 	{"group_filtered", `SELECT family, count(*) FROM Birds r
 	  WHERE r.id > 10 AND r.name <> 'Swan014' GROUP BY family`, optimizer.Options{}},
+	// DISTINCT folds the summaries of every duplicate into its first
+	// row: over a filtered scan, and over a join that repeats each r
+	// tuple (so the same snippets and classifier elements recur).
+	{"distinct_filtered", `SELECT DISTINCT r.family FROM Birds r WHERE r.id < 40`, optimizer.Options{}},
+	{"distinct_join", `SELECT DISTINCT r.family FROM Birds r, Birds s
+	  WHERE r.family = s.family AND s.id < 10`, optimizer.Options{}},
 }
 
 // rowPlans lists corpus shapes the vectorize pass leaves row-at-a-time:

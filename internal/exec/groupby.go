@@ -55,7 +55,8 @@ func (g *GroupBy) SetContext(qc *QueryCtx) {
 
 type groupState struct {
 	keyVals []model.Value
-	row     *Row // first row (for key output), summaries merged in place
+	oid     int64              // the first member's OID, the output row's
+	summ    *model.Accumulator // the members' summaries, merged
 	count   int64
 	sums    []float64
 	isInt   []bool
@@ -163,13 +164,14 @@ func (a *groupAcc) add(row *Row) error {
 		a.chargedBytes += rb
 		gs = &groupState{
 			keyVals: keyVals,
-			row:     row,
+			oid:     row.Tuple.OID,
 			sums:    make([]float64, len(a.aggs)),
 			isInt:   make([]bool, len(a.aggs)),
 			counts:  make([]int64, len(a.aggs)),
 			mins:    make([]model.Value, len(a.aggs)),
 			maxs:    make([]model.Value, len(a.aggs)),
 			charge:  rb,
+			summ:    model.NewAccumulator(row.Tuple.Summaries, a.lookup),
 		}
 		for i := range gs.isInt {
 			gs.isInt[i] = true
@@ -180,8 +182,7 @@ func (a *groupAcc) add(row *Row) error {
 		// Merge the new member's summaries into the group's (Q2
 		// semantics: an output tuple's annotations come from all its
 		// base tuples, without double counting).
-		gs.row = &Row{Tuple: gs.row.Tuple.ShallowWithValues(gs.row.Tuple.Values)}
-		gs.row.Tuple.Summaries = model.MergeSets(gs.row.Tuple.Summaries, row.Tuple.Summaries, a.lookup)
+		gs.summ.Add(row.Tuple.Summaries)
 	}
 	gs.count++
 	for ai, agg := range a.aggs {
@@ -230,7 +231,7 @@ func (a *groupAcc) mergeFrom(o *groupAcc) {
 			a.order = append(a.order, key)
 			continue
 		}
-		mergeGroupState(gs, os, a.lookup)
+		mergeGroupState(gs, os)
 		a.budget.ReleaseBuffered(1, os.charge)
 		o.chargedRows--
 		o.chargedBytes -= os.charge
@@ -240,11 +241,10 @@ func (a *groupAcc) mergeFrom(o *groupAcc) {
 }
 
 // mergeGroupState combines two partial states of the same group; dst is
-// the earlier partition's partial, so its first row and summary merge
-// order win, as in the serial fold.
-func mergeGroupState(dst, src *groupState, lookup model.AnnotationLookup) {
-	dst.row = &Row{Tuple: dst.row.Tuple.ShallowWithValues(dst.row.Tuple.Values)}
-	dst.row.Tuple.Summaries = model.MergeSets(dst.row.Tuple.Summaries, src.row.Tuple.Summaries, lookup)
+// the earlier partition's partial, so its first member's OID and its
+// summary merge order win, as in the serial fold.
+func mergeGroupState(dst, src *groupState) {
+	dst.summ.Add(src.summ.Set())
 	dst.count += src.count
 	for i := range dst.sums {
 		dst.sums[i] += src.sums[i]
@@ -350,8 +350,8 @@ func (g *GroupBy) Next() (res *Row, err error) {
 			return nil, fmt.Errorf("exec: unknown aggregate %q", a.Func)
 		}
 	}
-	out := &Row{Tuple: &model.Tuple{OID: gs.row.Tuple.OID, Values: values,
-		Summaries: gs.row.Tuple.Summaries}}
+	out := &Row{Tuple: &model.Tuple{OID: gs.oid, Values: values,
+		Summaries: gs.summ.Set()}}
 	return out, nil
 }
 

@@ -110,6 +110,7 @@ func (d *Distinct) Open() (err error) {
 	defer d.Input.Close()
 	budget := d.qc.Budget()
 	byKey := map[string]int{}
+	merging := map[int]*model.Accumulator{} // row index -> its duplicates' fold
 	d.rows = nil
 	for {
 		row, err := d.Input.Next()
@@ -126,10 +127,12 @@ func (d *Distinct) Open() (err error) {
 		}
 		key := kb.String()
 		if i, ok := byKey[key]; ok {
-			prev := d.rows[i]
-			merged := &Row{Tuple: prev.Tuple.ShallowWithValues(prev.Tuple.Values)}
-			merged.Tuple.Summaries = model.MergeSets(prev.Tuple.Summaries, row.Tuple.Summaries, d.Lookup)
-			d.rows[i] = merged
+			acc := merging[i]
+			if acc == nil {
+				acc = model.NewAccumulator(d.rows[i].Tuple.Summaries, d.Lookup)
+				merging[i] = acc
+			}
+			acc.Add(row.Tuple.Summaries)
 			continue
 		}
 		rb := approxRowBytes(row)
@@ -140,6 +143,12 @@ func (d *Distinct) Open() (err error) {
 		d.chargedBytes += rb
 		byKey[key] = len(d.rows)
 		d.rows = append(d.rows, row)
+	}
+	for i, acc := range merging {
+		first := d.rows[i]
+		merged := &Row{Tuple: first.Tuple.ShallowWithValues(first.Tuple.Values)}
+		merged.Tuple.Summaries = acc.Set()
+		d.rows[i] = merged
 	}
 	d.pos = 0
 	return nil

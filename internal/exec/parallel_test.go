@@ -91,7 +91,7 @@ func TestParallelGroupByMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dop := range []int{2, 3, 5} {
+	for _, dop := range []int{2, 3, 4, 5} {
 		par, err := Collect(NewParallelGroupBy(partitionedScans(f, dop, true), keys(), aggs(), nil))
 		if err != nil {
 			t.Fatalf("dop %d: %v", dop, err)

@@ -53,8 +53,10 @@ type Server struct {
 	admission *admission
 	mux       *http.ServeMux
 
-	closed   atomic.Bool
-	inflight sync.WaitGroup
+	// gate drains in-flight requests: each holds the read side while
+	// it runs, and Close takes the write side, which waits them out.
+	gate     sync.RWMutex
+	closed   bool // guarded by gate
 	requests atomic.Int64
 }
 
@@ -84,11 +86,13 @@ func New(cfg Config) (*Server, error) {
 // after Close returns, so every admitted statement ran against an open
 // engine.
 func (s *Server) Close() {
-	if s.closed.Swap(true) {
-		return
+	s.gate.Lock()
+	already := s.closed
+	s.closed = true
+	s.gate.Unlock()
+	if !already {
+		s.sessions.close()
 	}
-	s.inflight.Wait()
-	s.sessions.close()
 }
 
 func (s *Server) routes() {
@@ -107,20 +111,13 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/annotations", s.handleAnnotate)
 }
 
-// ServeHTTP gates every request: shed after Close, count in-flight for
-// the drain, and convert handler panics into typed 500s instead of
-// hijacking the connection.
+// ServeHTTP gates every request: shed after Close, hold the gate's
+// read side for the drain, and convert handler panics into typed 500s
+// instead of hijacking the connection.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.closed.Load() {
-		writeError(w, errorf(http.StatusServiceUnavailable, CodeDBClosed, "server shutting down"))
-		return
-	}
-	s.inflight.Add(1)
-	defer s.inflight.Done()
-	// Re-check under the WaitGroup: Close may have swapped the flag
-	// between the load above and the Add; draining still covers us, we
-	// just refuse the work.
-	if s.closed.Load() {
+	s.gate.RLock()
+	defer s.gate.RUnlock()
+	if s.closed {
 		writeError(w, errorf(http.StatusServiceUnavailable, CodeDBClosed, "server shutting down"))
 		return
 	}
