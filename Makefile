@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race race-core bench-smoke recovery-torture mvcc-stress ingest-stress serve-stress vector-stress concurrency-repeat
+.PHONY: check build vet test race race-core fuzz-smoke bench-smoke recovery-torture mvcc-stress ingest-stress serve-stress vector-stress concurrency-repeat
 
 # check is the full CI gate: static analysis, a clean build, and the
 # test suite under the race detector.
@@ -20,13 +20,21 @@ race:
 
 # race-core focuses the race detector on the layers that share a buffer
 # pool across parallel scan workers, with extra iterations on the
-# page-partitioned parallel index fetch, the lock-free epoch readers and
-# the server's drain gate.
+# page-partitioned parallel index fetch, the parallel hash build and
+# partial aggregation (whose workers share one set of bound expression
+# closures), the lock-free epoch readers and the server's drain gate.
 race-core:
 	$(GO) test -race ./internal/engine/... ./internal/exec/...
 	$(GO) test -race -count=4 -run 'TestParallelSortedFetchMatchesSerial|TestSummaryIndexScanPartitionedConcatenation' ./internal/engine/... ./internal/exec/...
+	$(GO) test -race -count=10 -run 'TestParallelHashJoinMatchesSerial|TestParallelGroupByMatchesSerial' ./internal/exec/
 	$(GO) test -race -count=2 -run 'TestEpochReaderStress' ./internal/engine/
 	$(GO) test -race -count=10 -run 'TestCloseDrainsInFlight|TestAdmission' ./internal/server
+
+# fuzz-smoke runs the expression-binding fuzz target for 30 seconds:
+# arbitrary text is parsed and bound, and Bind and BindPred must agree
+# without panicking. Its seed corpus also runs in the plain test suite.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzBind$$' -fuzztime 30s ./internal/exec
 
 # bench-smoke regenerates one representative figure plus the parallel
 # speedup, buffer-pool, and group-commit grids at the reduced quick

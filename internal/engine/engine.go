@@ -88,8 +88,8 @@ type Config struct {
 	// is flushed — net effects applied once, one epoch published — every
 	// IngestFlushOps buffered operations, on the flush interval, at txn
 	// commit, at checkpoint, on DB.FlushIngest, or before any read. 0 (the
-	// default) keeps the eager per-annotation path, byte-identical to the
-	// pre-batching engine.
+	// default) maintains summaries eagerly, each annotation applied as a
+	// batch of one, byte-identical to the pre-batching engine.
 	IngestFlushOps int
 	// IngestFlushInterval bounds how long a buffered annotation can wait
 	// before a background flush publishes it (0 = no timer; flushes happen

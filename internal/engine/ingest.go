@@ -30,11 +30,11 @@ package engine
 // functions, which covers the live path, Txn commit apply, and WAL
 // replay uniformly.
 //
-// Eager-mode identity: with IngestFlushOps == 0 (the default) none of
-// this machinery engages and the engine is byte-identical to the
-// pre-batching build. In batched mode the flushed state equals the
-// eager state for the same operation sequence because every per-type
-// maintenance step telescopes:
+// One maintenance path: with IngestFlushOps == 0 (the default) no
+// buffer exists, and each annotation is applied at once through the
+// same absorbBatch, as a batch of one. In batched mode the flushed
+// state equals that eager state for the same operation sequence
+// because every per-type maintenance step telescopes:
 //
 //   - classifier element sets are sorted ID sets, so inserting a batch
 //     one-by-one or at once yields the same set, and the index key for
@@ -83,8 +83,8 @@ func newIngestBuffer() *ingestBuffer {
 
 // bufferIngest defers one annotation's summary maintenance into the
 // net-delta buffer, returning false in eager mode (the caller then
-// absorbs immediately). The caller holds the exclusive lock and has
-// already stored the raw annotation and logged its record.
+// absorbs it at once as a batch of one). The caller holds the exclusive
+// lock and has already stored the raw annotation and logged its record.
 func (db *DB) bufferIngest(t *catalog.Table, oid int64, ann *model.Annotation) bool {
 	b := db.ingest
 	if b == nil {
@@ -239,8 +239,10 @@ func (db *DB) runAutoIngest(fn func(txid uint64) (uint64, error)) error {
 	return err
 }
 
-// absorbBatch folds a tuple's pending annotations into its summary
-// objects as one net application — the batched counterpart of absorb.
+// absorbBatch folds a tuple's annotations into its summary objects as
+// one net application. It is the only summary-maintenance path: a
+// flush passes each tuple's pending annotations, and eager mode passes
+// one annotation as it arrives.
 func (db *DB) absorbBatch(t *catalog.Table, oid int64, rid heap.RID, anns []*model.Annotation) {
 	set := t.GetSummaries(oid).Clone()
 	for _, si := range t.Instances {

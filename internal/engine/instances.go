@@ -398,7 +398,7 @@ func (db *DB) applyAddAnnotation(table string, oid, id, seq int64, text string, 
 	if db.bufferIngest(t, oid, ann) {
 		return ann, nil
 	}
-	db.absorb(t, oid, rid, ann)
+	db.absorbBatch(t, oid, rid, []*model.Annotation{ann})
 	return ann, nil
 }
 
@@ -462,35 +462,8 @@ func (db *DB) applyAttachAnnotation(table string, oid, annID int64) error {
 	if db.bufferIngest(t, oid, ann) {
 		return nil
 	}
-	db.absorb(t, oid, rid, ann)
+	db.absorbBatch(t, oid, rid, []*model.Annotation{ann})
 	return nil
-}
-
-// absorb folds one annotation into every summary instance of a tuple.
-func (db *DB) absorb(t *catalog.Table, oid int64, rid heap.RID, ann *model.Annotation) {
-	set := t.GetSummaries(oid).Clone()
-	for _, si := range t.Instances {
-		obj := set.Get(si.Name)
-		created := false
-		if obj == nil {
-			obj = db.newEmptyObject(t, si, oid)
-			set = append(set, obj)
-			created = true
-		}
-		if !created {
-			t.ForgetSummary(obj)
-		}
-		switch si.Type {
-		case model.SummaryClassifier:
-			db.absorbIntoClassifier(t, si, obj, ann, rid, created)
-		case model.SummarySnippet:
-			db.absorbIntoSnippet(si, obj, ann)
-		case model.SummaryCluster:
-			db.rebuildCluster(si, obj, oid)
-		}
-		t.ObserveSummary(obj)
-	}
-	t.PutSummaries(oid, set)
 }
 
 func (db *DB) newEmptyObject(t *catalog.Table, si *catalog.SummaryInstance, oid int64) *model.SummaryObject {
@@ -501,59 +474,6 @@ func (db *DB) newEmptyObject(t *catalog.Table, si *catalog.SummaryInstance, oid 
 		}
 	}
 	return obj
-}
-
-// absorbIntoClassifier classifies the annotation and increments its
-// label, updating both index schemes incrementally: only the modified
-// label is re-keyed (delete + re-insert), as in "Adding Annotation —
-// Update". Statistics bracketing is done by the caller.
-func (db *DB) absorbIntoClassifier(t *catalog.Table, si *catalog.SummaryInstance,
-	obj *model.SummaryObject, ann *model.Annotation, rid heap.RID, created bool) {
-	clf := db.classifiers[strings.ToLower(si.Name)]
-	leaves := si.LeafLabels()
-	label := leaves[len(leaves)-1] // default to the catch-all leaf
-	if clf != nil {
-		label = clf.Classify(ann.Text)
-	}
-	// The leaf label plus every ancestor accumulates the annotation
-	// (hierarchical instances; flat ones have no ancestors).
-	touched := append([]string{label}, si.Ancestors(label)...)
-	type change struct {
-		label    string
-		old, new int
-	}
-	var changes []change
-	for _, l := range touched {
-		li := obj.RepIndexByLabel(l)
-		if li < 0 {
-			obj.Reps = append(obj.Reps, model.Rep{Label: l})
-			li = len(obj.Reps) - 1
-		}
-		old := obj.Reps[li].Count
-		obj.Reps[li].Elements = insertSorted(obj.Reps[li].Elements, ann.ID)
-		obj.Reps[li].Count = len(obj.Reps[li].Elements)
-		changes = append(changes, change{l, old, obj.Reps[li].Count})
-	}
-
-	sIdx := db.summaryIndex(t.Name, si.Name)
-	bIdx := db.baselineIndex(t.Name, si.Name)
-	if created {
-		if sIdx != nil {
-			sIdx.IndexObject(obj, rid)
-		}
-		if bIdx != nil {
-			bIdx.IndexObject(obj)
-		}
-		return
-	}
-	for _, ch := range changes {
-		if sIdx != nil {
-			sIdx.UpdateLabel(ch.label, ch.old, ch.new, rid)
-		}
-		if bIdx != nil {
-			bIdx.UpdateLabel(obj.TupleOID, ch.label, ch.new)
-		}
-	}
 }
 
 // absorbIntoSnippet adds a snippet representative. Large annotations are

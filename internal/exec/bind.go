@@ -1,125 +1,134 @@
 package exec
 
 import (
+	"fmt"
 	"strings"
 
 	"repro/internal/model"
 	"repro/internal/sql"
 )
 
-// boundExpr is a pre-compiled expression evaluator produced by Bind:
-// the per-row work left after name resolution and tree dispatch have
-// been paid once per query instead of once per row.
-type boundExpr func(row *Row) (result, error)
+// boundExpr is a compiled expression produced by Bind: the per-row work
+// left after name resolution and tree dispatch have been paid once per
+// Open instead of once per row.
+type boundExpr func(row *Row) (model.Value, error)
 
 // boundPred is the boolean specialization produced by BindPred: filters
 // only need SQL truth, and threading a bare bool through the conjunct
-// closures avoids materializing (and copying) a full result struct per
+// closures avoids materializing (and copying) a value per
 // sub-expression per row — the dominant cost of a bound multi-predicate
 // filter.
 type boundPred func(row *Row) (bool, error)
 
-// Bind pre-compiles an expression against the evaluator's schema.
-// Column references resolve their ordinal once (the row interpreter
-// performs a name lookup per row), literals become constants, and the
-// boolean / comparison / arithmetic structure is lowered to closures
-// sharing applyBinary and negValue with the interpreter, so the two
-// paths cannot drift semantically. Summary-method calls, $ references,
-// and scalar functions fall back to the tree interpreter per row.
-// Binding never fails: an unresolvable column yields a closure that
-// returns the error, matching the row path's per-row error.
+// Bind compiles an expression against the evaluator's schema; it is
+// the engine's only expression evaluator. Column references resolve
+// their ordinal once, literals become constants, $ references and the
+// Section 3.1 manipulation functions resolve their method names and
+// bind their arguments once (a missing summary object still propagates
+// NULL through the rest of the chain), and scalar functions resolve
+// their name and arity once. The closures hold no per-row mutable
+// state, so one binding may be shared by concurrent workers.
+//
+// Binding never fails: an unresolvable column, an unknown method or
+// function, a wrong argument count, or an aggregate outside GROUP BY
+// yields a closure that returns the error, so the error surfaces only
+// when a row reaches the expression.
 func (ev *Evaluator) Bind(e sql.Expr) boundExpr {
 	switch n := e.(type) {
 	case *sql.Literal:
-		r := valueResult(n.Value)
-		return func(*Row) (result, error) { return r, nil }
+		v := n.Value
+		return func(*Row) (model.Value, error) { return v, nil }
 
 	case *sql.ColumnRef:
 		i, err := ev.Schema.ColIndex(n.Qualifier, n.Name)
 		if err != nil {
-			return func(*Row) (result, error) { return result{}, err }
+			return failExpr(err)
 		}
-		return func(row *Row) (result, error) {
-			return valueResult(row.Tuple.Values[i]), nil
+		return func(row *Row) (model.Value, error) { return row.Tuple.Values[i], nil }
+
+	case *sql.DollarRef, *sql.MethodCall:
+		s := ev.bindSummary(e)
+		return func(row *Row) (model.Value, error) {
+			r, err := s(row)
+			if err != nil {
+				return model.Value{}, err
+			}
+			return resolveValue(e, r)
 		}
+
+	case *sql.FuncCall:
+		return ev.bindFunc(n)
 
 	case *sql.Not:
 		inner := ev.BindPred(n.Expr)
-		return func(row *Row) (result, error) {
+		return func(row *Row) (model.Value, error) {
 			b, err := inner(row)
 			if err != nil {
-				return result{}, err
+				return model.Value{}, err
 			}
-			return valueResult(model.NewBool(!b)), nil
+			return model.NewBool(!b), nil
 		}
 
 	case *sql.Neg:
 		inner := ev.Bind(n.Expr)
-		expr := n.Expr
-		return func(row *Row) (result, error) {
-			r, err := inner(row)
+		return func(row *Row) (model.Value, error) {
+			v, err := inner(row)
 			if err != nil {
-				return result{}, err
-			}
-			v, err := resolveValue(expr, r)
-			if err != nil {
-				return result{}, err
+				return model.Value{}, err
 			}
 			return negValue(v)
 		}
 
 	case *sql.Binary:
-		switch n.Op {
-		case sql.OpAnd, sql.OpOr:
+		if n.Op == sql.OpAnd || n.Op == sql.OpOr {
 			p := ev.BindPred(n)
-			return func(row *Row) (result, error) {
+			return func(row *Row) (model.Value, error) {
 				b, err := p(row)
 				if err != nil {
-					return result{}, err
+					return model.Value{}, err
 				}
-				return valueResult(model.NewBool(b)), nil
-			}
-		default:
-			lb, rb := ev.Bind(n.L), ev.Bind(n.R)
-			le, re := n.L, n.R
-			op := n.Op
-			return func(row *Row) (result, error) {
-				lr, err := lb(row)
-				if err != nil {
-					return result{}, err
-				}
-				l, err := resolveValue(le, lr)
-				if err != nil {
-					return result{}, err
-				}
-				rr, err := rb(row)
-				if err != nil {
-					return result{}, err
-				}
-				r, err := resolveValue(re, rr)
-				if err != nil {
-					return result{}, err
-				}
-				return applyBinary(op, l, r)
+				return model.NewBool(b), nil
 			}
 		}
-
-	default:
-		// DollarRef, MethodCall, FuncCall, and anything new: per-row
-		// tree interpretation (summary-set navigation is pointer
-		// chasing, not name resolution, so there is little to hoist).
-		return func(row *Row) (result, error) { return ev.eval(e, row) }
+		lb, rb := ev.Bind(n.L), ev.Bind(n.R)
+		op := n.Op
+		return func(row *Row) (model.Value, error) {
+			l, err := lb(row)
+			if err != nil {
+				return model.Value{}, err
+			}
+			r, err := rb(row)
+			if err != nil {
+				return model.Value{}, err
+			}
+			return applyBinary(op, l, r)
+		}
 	}
+	return failExpr(fmt.Errorf("exec: unsupported expression %T", e))
 }
 
-// BindPred pre-compiles an expression as a predicate: the closure
-// chain passes SQL truth (NULL is false) directly instead of boxing
-// every sub-result in a value struct. AND/OR keep the interpreter's
-// short-circuit order, NOT takes the complement of its operand's
-// truth, and comparisons between column references and literals lower
-// to direct compares against the pre-resolved ordinal and constant.
-// Everything else evaluates through Bind and takes Truth of the
-// result, so the two paths share one semantics.
+// failExpr is the binding of an expression that cannot evaluate: every
+// row that reaches it gets err.
+func failExpr(err error) boundExpr {
+	return func(*Row) (model.Value, error) { return model.Value{}, err }
+}
+
+// bindAll binds a list of expressions.
+func (ev *Evaluator) bindAll(es []sql.Expr) []boundExpr {
+	out := make([]boundExpr, len(es))
+	for i, e := range es {
+		out[i] = ev.Bind(e)
+	}
+	return out
+}
+
+// BindPred compiles an expression as a predicate: the closure chain
+// passes SQL truth (NULL is false) directly instead of boxing every
+// sub-result in a value. AND/OR short-circuit left to right, NOT takes
+// the complement of its operand's truth, and comparisons between
+// column references and literals lower to direct compares against the
+// pre-resolved ordinal and constant. Everything else evaluates through
+// Bind and takes Truth of the value, so the two share one semantics.
 func (ev *Evaluator) BindPred(e sql.Expr) boundPred {
 	switch n := e.(type) {
 	case *sql.Not:
@@ -161,16 +170,22 @@ func (ev *Evaluator) BindPred(e sql.Expr) boundPred {
 		}
 	}
 	be := ev.Bind(e)
-	return func(row *Row) (bool, error) { return boundBool(e, be, row) }
+	return func(row *Row) (bool, error) {
+		v, err := be(row)
+		if err != nil {
+			return false, err
+		}
+		return v.Truth(), nil
+	}
 }
 
 // bindComparePred lowers a comparison whose operands are both column
-// references or literals to a direct compare: no result structs, no
-// value copies, and an inline int64 compare for the overwhelmingly
-// common integer-column-vs-integer-constant conjunct. Returns nil when
-// an operand is any other shape (caller falls back to the generic
-// bound path). Semantics mirror applyBinary exactly: either side NULL
-// is false, mixed-kind comparisons report the same model.Value.Compare
+// references or literals to a direct compare: no value copies, and an
+// inline int64 compare for the overwhelmingly common
+// integer-column-vs-integer-constant conjunct. Returns nil when an
+// operand is any other shape (caller falls back to the generic bound
+// path). Semantics mirror applyBinary exactly: either side NULL is
+// false, mixed-kind comparisons report the same model.Value.Compare
 // error.
 func (ev *Evaluator) bindComparePred(n *sql.Binary) boundPred {
 	lg := ev.bindValueRef(n.L)
@@ -202,20 +217,7 @@ func (ev *Evaluator) bindComparePred(n *sql.Binary) boundPred {
 				return false, err
 			}
 		}
-		switch op {
-		case sql.OpEq:
-			return c == 0, nil
-		case sql.OpNe:
-			return c != 0, nil
-		case sql.OpLt:
-			return c < 0, nil
-		case sql.OpLe:
-			return c <= 0, nil
-		case sql.OpGt:
-			return c > 0, nil
-		default: // sql.OpGe — the only comparison left
-			return c >= 0, nil
-		}
+		return compareHolds(op, c), nil
 	}
 }
 
@@ -237,20 +239,6 @@ func (ev *Evaluator) bindValueRef(e sql.Expr) func(*Row) *model.Value {
 		return func(row *Row) *model.Value { return &row.Tuple.Values[i] }
 	}
 	return nil
-}
-
-// boundBool mirrors EvalBool over a bound expression: resolve to a
-// value, then take SQL truth (NULL is false).
-func boundBool(e sql.Expr, be boundExpr, row *Row) (bool, error) {
-	r, err := be(row)
-	if err != nil {
-		return false, err
-	}
-	v, err := resolveValue(e, r)
-	if err != nil {
-		return false, err
-	}
-	return v.Truth(), nil
 }
 
 // FilterBatch evaluates a bound predicate over every live row of b and

@@ -1,481 +1,462 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/model"
 	"repro/internal/sql"
 )
 
-// Evaluator evaluates sql.Expr trees against rows. It carries the
-// annotation lookup used by containsSingle/containsUnion raw-text search
-// and by cluster re-election.
+// Evaluator compiles sql.Expr trees against one input schema (see Bind
+// and BindPred). It carries the annotation lookup used by
+// containsSingle/containsUnion raw-text search.
 type Evaluator struct {
 	Schema *model.Schema
 	Lookup model.AnnotationLookup
 }
 
-// result is the evaluator's value domain: a relational value, a summary
-// set ($), or a single summary object.
+// result is the value domain of a summary method chain: a relational
+// value, a summary set ($), or a single summary object.
 type result struct {
-	val model.Value
-	set model.SummarySet
-	obj *model.SummaryObject
-	// kind: 0 = value, 1 = set, 2 = object, 3 = null-object (missing
-	// getSummaryObject result, propagates NULL through method chains).
-	kind int
+	val  model.Value
+	set  model.SummarySet
+	obj  *model.SummaryObject
+	kind resultKind
 }
+
+type resultKind uint8
+
+const (
+	kindValue resultKind = iota
+	kindSet
+	kindObject
+	// kindNullObject is a missing getSummaryObject result: it propagates
+	// NULL through the rest of the method chain.
+	kindNullObject
+)
 
 func valueResult(v model.Value) result { return result{val: v} }
 
-// Eval evaluates e against row, returning a relational value. Summary
-// sets/objects are not first-class SQL values: reaching the top with one
-// is an error.
-func (ev *Evaluator) Eval(e sql.Expr, row *Row) (model.Value, error) {
-	r, err := ev.eval(e, row)
-	if err != nil {
-		return model.Value{}, err
-	}
-	return resolveValue(e, r)
-}
-
-// resolveValue narrows an evaluator result to a relational value,
-// shared between the tree interpreter and bound expressions so both
-// report the identical error for summary-valued expressions.
+// resolveValue narrows a method-chain result to a relational value.
+// Summary sets and objects are not first-class SQL values: reaching a
+// value position with one is an error naming the expression.
 func resolveValue(e sql.Expr, r result) (model.Value, error) {
 	switch r.kind {
-	case 0:
+	case kindValue:
 		return r.val, nil
-	case 3:
+	case kindNullObject:
 		return model.Null(), nil
+	case kindSet:
+		return model.Value{}, fmt.Errorf("exec: expression %s yields a summary set, not a value", e)
 	default:
-		return model.Value{}, fmt.Errorf("exec: expression %s yields a summary %s, not a value",
-			e, map[int]string{1: "set", 2: "object"}[r.kind])
+		return model.Value{}, fmt.Errorf("exec: expression %s yields a summary object, not a value", e)
 	}
 }
 
-// EvalBool evaluates a predicate; NULL and errors about missing summary
-// objects collapse to false, matching the permissive predicate semantics
-// end-users expect over partially annotated data.
-func (ev *Evaluator) EvalBool(e sql.Expr, row *Row) (bool, error) {
-	v, err := ev.Eval(e, row)
-	if err != nil {
-		return false, err
-	}
-	return v.Truth(), nil
-}
-
-func (ev *Evaluator) eval(e sql.Expr, row *Row) (result, error) {
-	switch n := e.(type) {
-	case *sql.Literal:
-		return valueResult(n.Value), nil
-
-	case *sql.ColumnRef:
-		i, err := ev.Schema.ColIndex(n.Qualifier, n.Name)
-		if err != nil {
-			return result{}, err
-		}
-		return valueResult(row.Tuple.Values[i]), nil
-
-	case *sql.DollarRef:
-		return result{set: row.SetFor(n.Qualifier), kind: 1}, nil
-
-	case *sql.MethodCall:
-		return ev.evalMethod(n, row)
-
-	case *sql.Not:
-		b, err := ev.EvalBool(n.Expr, row)
-		if err != nil {
-			return result{}, err
-		}
-		return valueResult(model.NewBool(!b)), nil
-
-	case *sql.Neg:
-		v, err := ev.Eval(n.Expr, row)
-		if err != nil {
-			return result{}, err
-		}
-		return negValue(v)
-
-	case *sql.Binary:
-		return ev.evalBinary(n, row)
-
-	case *sql.FuncCall:
-		return ev.evalScalarFunc(n, row)
-
-	default:
-		return result{}, fmt.Errorf("exec: unsupported expression %T", e)
-	}
-}
-
-func (ev *Evaluator) evalBinary(n *sql.Binary, row *Row) (result, error) {
-	switch n.Op {
-	case sql.OpAnd:
-		l, err := ev.EvalBool(n.L, row)
-		if err != nil {
-			return result{}, err
-		}
-		if !l {
-			return valueResult(model.NewBool(false)), nil
-		}
-		r, err := ev.EvalBool(n.R, row)
-		if err != nil {
-			return result{}, err
-		}
-		return valueResult(model.NewBool(r)), nil
-
-	case sql.OpOr:
-		l, err := ev.EvalBool(n.L, row)
-		if err != nil {
-			return result{}, err
-		}
-		if l {
-			return valueResult(model.NewBool(true)), nil
-		}
-		r, err := ev.EvalBool(n.R, row)
-		if err != nil {
-			return result{}, err
-		}
-		return valueResult(model.NewBool(r)), nil
-	}
-
-	l, err := ev.Eval(n.L, row)
-	if err != nil {
-		return result{}, err
-	}
-	r, err := ev.Eval(n.R, row)
-	if err != nil {
-		return result{}, err
-	}
-	return applyBinary(n.Op, l, r)
-}
-
-// negValue applies unary minus, shared between the interpreter and
-// bound expressions.
-func negValue(v model.Value) (result, error) {
+// negValue applies unary minus.
+func negValue(v model.Value) (model.Value, error) {
 	switch v.Kind {
 	case model.KindInt:
-		return valueResult(model.NewInt(-v.Int)), nil
+		return model.NewInt(-v.Int), nil
 	case model.KindFloat:
-		return valueResult(model.NewFloat(-v.Float)), nil
+		return model.NewFloat(-v.Float), nil
 	case model.KindNull:
-		return valueResult(model.Null()), nil
+		return model.Null(), nil
 	default:
-		return result{}, fmt.Errorf("exec: cannot negate %s", v.Kind)
+		return model.Value{}, fmt.Errorf("exec: cannot negate %s", v.Kind)
 	}
 }
 
-// applyBinary applies a non-boolean binary operator to two already
-// evaluated operands. One body shared between the tree interpreter and
-// bound expressions keeps the two paths semantically identical
-// (NULL-comparisons collapse to false, division by zero yields NULL,
-// text + text concatenates, LIKE is case-insensitive).
-func applyBinary(op sql.BinaryOp, l, r model.Value) (result, error) {
+// applyBinary applies a non-boolean binary operator to two evaluated
+// operands: NULL comparisons collapse to false, division by zero yields
+// NULL, text + text concatenates, and LIKE is case-insensitive.
+func applyBinary(op sql.BinaryOp, l, r model.Value) (model.Value, error) {
 	if op.IsComparison() {
 		if l.IsNull() || r.IsNull() {
-			return valueResult(model.NewBool(false)), nil
+			return model.NewBool(false), nil
 		}
 		if op == sql.OpLike {
 			if l.Kind != model.KindText || r.Kind != model.KindText {
-				return result{}, fmt.Errorf("exec: LIKE requires text operands")
+				return model.Value{}, fmt.Errorf("exec: LIKE requires text operands")
 			}
-			return valueResult(model.NewBool(matchLike(l.Text, r.Text))), nil
+			return model.NewBool(matchLike(l.Text, r.Text)), nil
 		}
 		c, err := l.Compare(r)
 		if err != nil {
-			return result{}, err
+			return model.Value{}, err
 		}
-		var b bool
-		switch op {
-		case sql.OpEq:
-			b = c == 0
-		case sql.OpNe:
-			b = c != 0
-		case sql.OpLt:
-			b = c < 0
-		case sql.OpLe:
-			b = c <= 0
-		case sql.OpGt:
-			b = c > 0
-		case sql.OpGe:
-			b = c >= 0
-		}
-		return valueResult(model.NewBool(b)), nil
+		return model.NewBool(compareHolds(op, c)), nil
 	}
 
 	// Arithmetic.
 	if l.IsNull() || r.IsNull() {
-		return valueResult(model.Null()), nil
+		return model.Null(), nil
 	}
 	if op == sql.OpAdd && l.Kind == model.KindText && r.Kind == model.KindText {
-		return valueResult(model.NewText(l.Text + r.Text)), nil
+		return model.NewText(l.Text + r.Text), nil
 	}
 	if !l.IsNumeric() || !r.IsNumeric() {
-		return result{}, fmt.Errorf("exec: %s requires numeric operands, got %s and %s", op, l.Kind, r.Kind)
+		return model.Value{}, fmt.Errorf("exec: %s requires numeric operands, got %s and %s", op, l.Kind, r.Kind)
 	}
 	if l.Kind == model.KindInt && r.Kind == model.KindInt {
 		a, b := l.Int, r.Int
 		switch op {
 		case sql.OpAdd:
-			return valueResult(model.NewInt(a + b)), nil
+			return model.NewInt(a + b), nil
 		case sql.OpSub:
-			return valueResult(model.NewInt(a - b)), nil
+			return model.NewInt(a - b), nil
 		case sql.OpMul:
-			return valueResult(model.NewInt(a * b)), nil
+			return model.NewInt(a * b), nil
 		case sql.OpDiv:
 			if b == 0 {
-				return valueResult(model.Null()), nil
+				return model.Null(), nil
 			}
-			return valueResult(model.NewInt(a / b)), nil
+			return model.NewInt(a / b), nil
 		}
 	}
 	a, b := l.AsFloat(), r.AsFloat()
 	switch op {
 	case sql.OpAdd:
-		return valueResult(model.NewFloat(a + b)), nil
+		return model.NewFloat(a + b), nil
 	case sql.OpSub:
-		return valueResult(model.NewFloat(a - b)), nil
+		return model.NewFloat(a - b), nil
 	case sql.OpMul:
-		return valueResult(model.NewFloat(a * b)), nil
+		return model.NewFloat(a * b), nil
 	case sql.OpDiv:
 		if b == 0 {
-			return valueResult(model.Null()), nil
+			return model.Null(), nil
 		}
-		return valueResult(model.NewFloat(a / b)), nil
+		return model.NewFloat(a / b), nil
 	}
-	return result{}, fmt.Errorf("exec: unsupported binary op %s", op)
+	return model.Value{}, fmt.Errorf("exec: unsupported binary op %s", op)
 }
 
-// evalMethod dispatches the Section 3.1 manipulation functions.
-func (ev *Evaluator) evalMethod(m *sql.MethodCall, row *Row) (result, error) {
-	recv, err := ev.eval(m.Recv, row)
-	if err != nil {
-		return result{}, err
+// compareHolds reports whether a three-way comparison result c
+// satisfies a comparison operator other than LIKE.
+func compareHolds(op sql.BinaryOp, c int) bool {
+	switch op {
+	case sql.OpEq:
+		return c == 0
+	case sql.OpNe:
+		return c != 0
+	case sql.OpLt:
+		return c < 0
+	case sql.OpLe:
+		return c <= 0
+	case sql.OpGt:
+		return c > 0
+	case sql.OpGe:
+		return c >= 0
 	}
-	if recv.kind == 3 {
-		// Method chain over a missing summary object: NULL propagates.
-		return result{kind: 3}, nil
-	}
-	name := strings.ToLower(m.Name)
+	return false
+}
 
-	argValues := func(n int) ([]model.Value, error) {
-		if len(m.Args) != n {
-			return nil, fmt.Errorf("exec: %s expects %d arguments, got %d", m.Name, n, len(m.Args))
-		}
-		out := make([]model.Value, n)
-		for i, a := range m.Args {
-			v, err := ev.Eval(a, row)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
+// boundSummary evaluates a $ reference or a method chain; its result
+// may be a summary set or object rather than a value.
+type boundSummary func(row *Row) (result, error)
 
-	switch recv.kind {
-	case 1: // summary set ($)
-		set := recv.set
-		switch name {
-		case "getsize":
+// setMethod and objectMethod are a bound method applied to an already
+// evaluated receiver.
+type (
+	setMethod    func(set model.SummarySet, row *Row) (result, error)
+	objectMethod func(obj *model.SummaryObject, row *Row) (result, error)
+)
+
+// bindSummary lowers an expression that may yield a summary set or
+// object: $ references, the Section 3.1 manipulation functions, and
+// (as plain values) everything else.
+func (ev *Evaluator) bindSummary(e sql.Expr) boundSummary {
+	switch n := e.(type) {
+	case *sql.DollarRef:
+		q := n.Qualifier
+		return func(row *Row) (result, error) {
+			return result{set: row.SetFor(q), kind: kindSet}, nil
+		}
+	case *sql.MethodCall:
+		return ev.bindMethod(n)
+	}
+	be := ev.Bind(e)
+	return func(row *Row) (result, error) {
+		v, err := be(row)
+		return valueResult(v), err
+	}
+}
+
+// bindMethod lowers a manipulation-function call. The method name is
+// resolved once for each receiver kind it may meet; which one runs is
+// decided per row by the receiver's result.
+func (ev *Evaluator) bindMethod(m *sql.MethodCall) boundSummary {
+	recv := ev.bindSummary(m.Recv)
+	onSet, onObj := ev.bindSetMethod(m), ev.bindObjectMethod(m)
+	notCallable := fmt.Errorf("exec: %s is not callable on a plain value", m.Name)
+	return func(row *Row) (result, error) {
+		r, err := recv(row)
+		if err != nil {
+			return result{}, err
+		}
+		switch r.kind {
+		case kindSet:
+			return onSet(r.set, row)
+		case kindObject:
+			return onObj(r.obj, row)
+		case kindNullObject:
+			// Method chain over a missing summary object: NULL propagates.
+			return r, nil
+		default:
+			return result{}, notCallable
+		}
+	}
+}
+
+// bindArg binds the single argument of a one-argument method.
+func (ev *Evaluator) bindArg(m *sql.MethodCall) (boundExpr, error) {
+	if len(m.Args) != 1 {
+		return nil, fmt.Errorf("exec: %s expects %d arguments, got %d", m.Name, 1, len(m.Args))
+	}
+	return ev.Bind(m.Args[0]), nil
+}
+
+func (ev *Evaluator) bindSetMethod(m *sql.MethodCall) setMethod {
+	switch strings.ToLower(m.Name) {
+	case "getsize":
+		return func(set model.SummarySet, _ *Row) (result, error) {
 			return valueResult(model.NewInt(int64(set.Size()))), nil
-		case "getsummaryobject":
-			args, err := argValues(1)
+		}
+	case "getsummaryobject":
+		arg, err := ev.bindArg(m)
+		if err != nil {
+			return func(model.SummarySet, *Row) (result, error) { return result{}, err }
+		}
+		return func(set model.SummarySet, row *Row) (result, error) {
+			v, err := arg(row)
 			if err != nil {
 				return result{}, err
 			}
 			var obj *model.SummaryObject
-			if args[0].Kind == model.KindText {
-				obj = set.Get(args[0].Text)
+			if v.Kind == model.KindText {
+				obj = set.Get(v.Text)
 			} else {
-				obj = set.At(int(args[0].AsInt()))
+				obj = set.At(int(v.AsInt()))
 			}
 			if obj == nil {
-				return result{kind: 3}, nil
+				return result{kind: kindNullObject}, nil
 			}
-			return result{obj: obj, kind: 2}, nil
-		default:
-			return result{}, fmt.Errorf("exec: unknown summary-set function %q", m.Name)
+			return result{obj: obj, kind: kindObject}, nil
 		}
-
-	case 2: // summary object
-		obj := recv.obj
-		switch name {
-		case "getsummarytype":
-			return valueResult(model.NewText(obj.GetSummaryType())), nil
-		case "getsummaryname":
-			return valueResult(model.NewText(obj.GetSummaryName())), nil
-		case "getsize":
-			return valueResult(model.NewInt(int64(obj.Size()))), nil
-		case "gettotalcount":
-			return valueResult(model.NewInt(int64(obj.TotalCount()))), nil
-		case "getlabelname":
-			args, err := argValues(1)
-			if err != nil {
-				return result{}, err
-			}
-			s, err := obj.GetLabelName(int(args[0].AsInt()))
-			if err != nil {
-				// Out-of-range / wrong-type access yields SQL NULL.
-				return valueResult(model.Null()), nil
-			}
-			return valueResult(model.NewText(s)), nil
-		case "getlabelvalue":
-			args, err := argValues(1)
-			if err != nil {
-				return result{}, err
-			}
-			var n int
-			if args[0].Kind == model.KindText {
-				n, err = obj.GetLabelValue(args[0].Text)
-			} else {
-				n, err = obj.GetLabelValueAt(int(args[0].AsInt()))
-			}
-			if err != nil {
-				// Unknown label: NULL (predicates collapse to false).
-				return valueResult(model.Null()), nil
-			}
-			return valueResult(model.NewInt(int64(n))), nil
-		case "getsnippet":
-			args, err := argValues(1)
-			if err != nil {
-				return result{}, err
-			}
-			s, err := obj.GetSnippet(int(args[0].AsInt()))
-			if err != nil {
-				// Out-of-range / wrong-type access yields SQL NULL.
-				return valueResult(model.Null()), nil
-			}
-			return valueResult(model.NewText(s)), nil
-		case "getrepresentative":
-			args, err := argValues(1)
-			if err != nil {
-				return result{}, err
-			}
-			s, err := obj.GetRepresentative(int(args[0].AsInt()))
-			if err != nil {
-				// Out-of-range / wrong-type access yields SQL NULL.
-				return valueResult(model.Null()), nil
-			}
-			return valueResult(model.NewText(s)), nil
-		case "getgroupsize":
-			args, err := argValues(1)
-			if err != nil {
-				return result{}, err
-			}
-			n, err := obj.GetGroupSize(int(args[0].AsInt()))
-			if err != nil {
-				// Out-of-range / wrong-type access yields SQL NULL.
-				return valueResult(model.Null()), nil
-			}
-			return valueResult(model.NewInt(int64(n))), nil
-		case "containssingle", "containsunion":
-			if len(m.Args) == 0 {
-				return result{}, fmt.Errorf("exec: %s needs at least one keyword", m.Name)
-			}
-			kws := make([]string, len(m.Args))
-			for i, a := range m.Args {
-				v, err := ev.Eval(a, row)
-				if err != nil {
-					return result{}, err
-				}
-				if v.Kind != model.KindText {
-					return result{}, fmt.Errorf("exec: %s keywords must be text", m.Name)
-				}
-				kws[i] = v.Text
-			}
-			var b bool
-			if name == "containssingle" {
-				b = obj.ContainsSingle(ev.Lookup, kws...)
-			} else {
-				b = obj.ContainsUnion(ev.Lookup, kws...)
-			}
-			return valueResult(model.NewBool(b)), nil
-		default:
-			return result{}, fmt.Errorf("exec: unknown summary-object function %q", m.Name)
-		}
-
-	default:
-		return result{}, fmt.Errorf("exec: %s is not callable on a plain value", m.Name)
 	}
+	err := fmt.Errorf("exec: unknown summary-set function %q", m.Name)
+	return func(model.SummarySet, *Row) (result, error) { return result{}, err }
 }
 
-// evalScalarFunc handles non-aggregate function calls.
-func (ev *Evaluator) evalScalarFunc(f *sql.FuncCall, row *Row) (result, error) {
-	if f.IsAggregate() {
-		return result{}, fmt.Errorf("exec: aggregate %s outside GROUP BY context", f.Name)
+func (ev *Evaluator) bindObjectMethod(m *sql.MethodCall) objectMethod {
+	switch name := strings.ToLower(m.Name); name {
+	case "getsummarytype":
+		return objectValue(func(o *model.SummaryObject) model.Value { return model.NewText(o.GetSummaryType()) })
+	case "getsummaryname":
+		return objectValue(func(o *model.SummaryObject) model.Value { return model.NewText(o.GetSummaryName()) })
+	case "getsize":
+		return objectValue(func(o *model.SummaryObject) model.Value { return model.NewInt(int64(o.Size())) })
+	case "gettotalcount":
+		return objectValue(func(o *model.SummaryObject) model.Value { return model.NewInt(int64(o.TotalCount())) })
+	case "getlabelname":
+		return ev.bindObjectLookup(m, func(o *model.SummaryObject, arg model.Value) (model.Value, error) {
+			s, err := o.GetLabelName(int(arg.AsInt()))
+			return model.NewText(s), err
+		})
+	case "getlabelvalue":
+		return ev.bindObjectLookup(m, func(o *model.SummaryObject, arg model.Value) (model.Value, error) {
+			var n int
+			var err error
+			if arg.Kind == model.KindText {
+				n, err = o.GetLabelValue(arg.Text)
+			} else {
+				n, err = o.GetLabelValueAt(int(arg.AsInt()))
+			}
+			return model.NewInt(int64(n)), err
+		})
+	case "getsnippet":
+		return ev.bindObjectLookup(m, func(o *model.SummaryObject, arg model.Value) (model.Value, error) {
+			s, err := o.GetSnippet(int(arg.AsInt()))
+			return model.NewText(s), err
+		})
+	case "getrepresentative":
+		return ev.bindObjectLookup(m, func(o *model.SummaryObject, arg model.Value) (model.Value, error) {
+			s, err := o.GetRepresentative(int(arg.AsInt()))
+			return model.NewText(s), err
+		})
+	case "getgroupsize":
+		return ev.bindObjectLookup(m, func(o *model.SummaryObject, arg model.Value) (model.Value, error) {
+			n, err := o.GetGroupSize(int(arg.AsInt()))
+			return model.NewInt(int64(n)), err
+		})
+	case "containssingle", "containsunion":
+		return ev.bindContains(m, name == "containssingle")
 	}
-	args := make([]model.Value, len(f.Args))
-	for i, a := range f.Args {
-		v, err := ev.Eval(a, row)
+	err := fmt.Errorf("exec: unknown summary-object function %q", m.Name)
+	return func(*model.SummaryObject, *Row) (result, error) { return result{}, err }
+}
+
+// objectValue lowers an argument-free summary-object accessor.
+func objectValue(get func(*model.SummaryObject) model.Value) objectMethod {
+	return func(o *model.SummaryObject, _ *Row) (result, error) { return valueResult(get(o)), nil }
+}
+
+// bindObjectLookup lowers a one-argument summary-object accessor. An
+// out-of-range index, unknown label or wrong summary type yields SQL
+// NULL (predicates over it collapse to false).
+func (ev *Evaluator) bindObjectLookup(m *sql.MethodCall,
+	get func(*model.SummaryObject, model.Value) (model.Value, error)) objectMethod {
+	arg, err := ev.bindArg(m)
+	if err != nil {
+		return func(*model.SummaryObject, *Row) (result, error) { return result{}, err }
+	}
+	return func(o *model.SummaryObject, row *Row) (result, error) {
+		v, err := arg(row)
 		if err != nil {
 			return result{}, err
 		}
-		args[i] = v
+		out, err := get(o, v)
+		if err != nil {
+			return valueResult(model.Null()), nil
+		}
+		return valueResult(out), nil
 	}
-	switch strings.ToLower(f.Name) {
-	case "lower":
-		if len(args) != 1 {
-			return result{}, fmt.Errorf("exec: LOWER expects 1 argument")
-		}
-		return valueResult(model.NewText(strings.ToLower(args[0].String()))), nil
-	case "upper":
-		if len(args) != 1 {
-			return result{}, fmt.Errorf("exec: UPPER expects 1 argument")
-		}
-		return valueResult(model.NewText(strings.ToUpper(args[0].String()))), nil
-	case "length":
-		if len(args) != 1 {
-			return result{}, fmt.Errorf("exec: LENGTH expects 1 argument")
-		}
-		return valueResult(model.NewInt(int64(len(args[0].String())))), nil
-	case "abs":
-		if len(args) != 1 || !args[0].IsNumeric() {
-			return result{}, fmt.Errorf("exec: ABS expects 1 numeric argument")
-		}
-		if args[0].Kind == model.KindInt {
-			n := args[0].Int
-			if n < 0 {
-				n = -n
+}
+
+// bindContains lowers containsSingle/containsUnion: keyword search over
+// the object's representatives, falling back to the raw annotations
+// through the lookup.
+func (ev *Evaluator) bindContains(m *sql.MethodCall, single bool) objectMethod {
+	if len(m.Args) == 0 {
+		err := fmt.Errorf("exec: %s needs at least one keyword", m.Name)
+		return func(*model.SummaryObject, *Row) (result, error) { return result{}, err }
+	}
+	args := ev.bindAll(m.Args)
+	notText := fmt.Errorf("exec: %s keywords must be text", m.Name)
+	lookup := ev.Lookup
+	return func(o *model.SummaryObject, row *Row) (result, error) {
+		kws := make([]string, len(args))
+		for i, arg := range args {
+			v, err := arg(row)
+			if err != nil {
+				return result{}, err
 			}
-			return valueResult(model.NewInt(n)), nil
+			if v.Kind != model.KindText {
+				return result{}, notText
+			}
+			kws[i] = v.Text
 		}
-		x := args[0].Float
-		if x < 0 {
-			x = -x
+		if single {
+			return valueResult(model.NewBool(o.ContainsSingle(lookup, kws...))), nil
 		}
-		return valueResult(model.NewFloat(x)), nil
-	default:
-		return result{}, fmt.Errorf("exec: unknown function %q", f.Name)
+		return valueResult(model.NewBool(o.ContainsUnion(lookup, kws...))), nil
 	}
 }
 
-// matchLike implements SQL LIKE with % (any run) and _ (any one char),
-// case-insensitively (the common scientific-DB configuration).
-func matchLike(s, pattern string) bool {
-	s, pattern = strings.ToLower(s), strings.ToLower(pattern)
-	return likeMatch(s, pattern)
+// bindFunc lowers a scalar function call. Every argument is evaluated
+// before an arity or unknown-function error is reported, so argument
+// errors take precedence, row by row.
+func (ev *Evaluator) bindFunc(f *sql.FuncCall) boundExpr {
+	if f.IsAggregate() {
+		return failExpr(fmt.Errorf("exec: aggregate %s outside GROUP BY context", f.Name))
+	}
+	args := ev.bindAll(f.Args)
+	apply, err := scalarFunc(f.Name, len(args))
+	return func(row *Row) (model.Value, error) {
+		var last model.Value
+		for _, arg := range args {
+			v, err := arg(row)
+			if err != nil {
+				return model.Value{}, err
+			}
+			last = v
+		}
+		if err != nil {
+			return model.Value{}, err
+		}
+		return apply(last)
+	}
 }
 
+// scalarFunc resolves a scalar function of n arguments. Every supported
+// function takes exactly one argument.
+func scalarFunc(name string, n int) (func(model.Value) (model.Value, error), error) {
+	var apply func(model.Value) (model.Value, error)
+	var arity error
+	switch strings.ToLower(name) {
+	case "lower":
+		arity = errors.New("exec: LOWER expects 1 argument")
+		apply = func(v model.Value) (model.Value, error) { return model.NewText(strings.ToLower(v.String())), nil }
+	case "upper":
+		arity = errors.New("exec: UPPER expects 1 argument")
+		apply = func(v model.Value) (model.Value, error) { return model.NewText(strings.ToUpper(v.String())), nil }
+	case "length":
+		arity = errors.New("exec: LENGTH expects 1 argument")
+		apply = func(v model.Value) (model.Value, error) { return model.NewInt(int64(len(v.String()))), nil }
+	case "abs":
+		arity = errors.New("exec: ABS expects 1 numeric argument")
+		apply = func(v model.Value) (model.Value, error) {
+			switch v.Kind {
+			case model.KindInt:
+				if v.Int < 0 {
+					return model.NewInt(-v.Int), nil
+				}
+				return model.NewInt(v.Int), nil
+			case model.KindFloat:
+				if v.Float < 0 {
+					return model.NewFloat(-v.Float), nil
+				}
+				return model.NewFloat(v.Float), nil
+			}
+			return model.Value{}, arity
+		}
+	default:
+		return nil, fmt.Errorf("exec: unknown function %q", name)
+	}
+	if n != 1 {
+		return nil, arity
+	}
+	return apply, nil
+}
+
+// matchLike implements SQL LIKE with % (any run) and _ (any one
+// character), case-insensitively (the common scientific-DB
+// configuration).
+func matchLike(s, pattern string) bool {
+	return likeMatch(strings.ToLower(s), strings.ToLower(pattern))
+}
+
+// likeMatch is an iterative two-pointer matcher with backtracking on
+// '%'. It steps whole UTF-8 characters, so '_' consumes one character
+// however many bytes encode it; a byte that is not valid UTF-8 counts
+// as one character and matches only itself (or '_').
 func likeMatch(s, p string) bool {
-	// Iterative two-pointer matcher with backtracking on '%'.
 	si, pi := 0, 0
 	starP, starS := -1, 0
 	for si < len(s) {
-		switch {
-		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(p) && p[pi] == '%':
-			starP, starS = pi, si
-			pi++
-		case starP >= 0:
-			starS++
-			si, pi = starS, starP+1
-		default:
+		_, sw := utf8.DecodeRuneInString(s[si:])
+		if pi < len(p) {
+			if p[pi] == '%' {
+				starP, starS = pi, si
+				pi++
+				continue
+			}
+			_, pw := utf8.DecodeRuneInString(p[pi:])
+			if p[pi] == '_' || s[si:si+sw] == p[pi:pi+pw] {
+				si += sw
+				pi += pw
+				continue
+			}
+		}
+		if starP < 0 {
 			return false
 		}
+		_, w := utf8.DecodeRuneInString(s[starS:])
+		starS += w
+		si, pi = starS, starP+1
 	}
 	for pi < len(p) && p[pi] == '%' {
 		pi++

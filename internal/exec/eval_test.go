@@ -35,13 +35,15 @@ func evalRow() (*Evaluator, *Row) {
 	return &Evaluator{Schema: schema}, row
 }
 
+// evalExpr parses src, binds it against ev's schema and evaluates the
+// binding on row.
 func evalExpr(t *testing.T, ev *Evaluator, row *Row, src string) model.Value {
 	t.Helper()
 	e, err := sql.ParseExpr(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	v, err := ev.Eval(e, row)
+	v, err := ev.Bind(e)(row)
 	if err != nil {
 		t.Fatalf("eval %q: %v", src, err)
 	}
@@ -97,7 +99,7 @@ func TestEvalComparisonsAndLogic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		got, err := ev.EvalBool(e, row)
+		got, err := ev.BindPred(e)(row)
 		if err != nil {
 			t.Fatalf("eval %q: %v", src, err)
 		}
@@ -163,13 +165,13 @@ func TestEvalErrors(t *testing.T) {
 		if err != nil {
 			continue // some are parse errors, equally fine
 		}
-		if _, err := ev.Eval(e, row); err == nil {
-			t.Errorf("Eval(%q) should fail", src)
+		if _, err := ev.Bind(e)(row); err == nil {
+			t.Errorf("Bind(%q) should fail", src)
 		}
 	}
 	// $ at the top level is not a value.
 	e, _ := sql.ParseExpr("$")
-	if _, err := ev.Eval(e, row); err == nil || !strings.Contains(err.Error(), "summary set") {
+	if _, err := ev.Bind(e)(row); err == nil || !strings.Contains(err.Error(), "summary set") {
 		t.Errorf("bare $ error: %v", err)
 	}
 }
@@ -206,6 +208,21 @@ func TestLikeMatcher(t *testing.T) {
 		{"abc", "a%d", false},
 		{"aXbXc", "a%b%c", true},
 		{"swan goose", "SWAN%", true}, // case-insensitive
+		// '_' is one character, however many bytes encode it.
+		{"Grébe", "Gr_be", true},
+		{"Grébe", "Gr__be", false},
+		{"GRÉBE", "gré%", true}, // case-insensitive beyond ASCII
+		{"日本語", "_本_", true},
+		{"日本語", "%語", true},
+		{"日本語", "____", false},
+		// A literal '%' in the input does not shadow the wildcard.
+		{"%ba", "%a", true},
+		// Invalid UTF-8 must not panic; a stray byte is one character.
+		{"a\xffb", "a_b", true},
+		{"a\xff", "a%", true},
+		{"\xff\xfe", "__", true},
+		{"\xe6\x97", "_", false},
+		{"x", "\xff", false},
 	}
 	for _, c := range cases {
 		if got := matchLike(c.s, c.p); got != c.want {

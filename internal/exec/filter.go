@@ -31,10 +31,9 @@ type PredicateFilter struct {
 	AttachFrom  *catalog.Table
 	AttachAlias string
 
-	ev    *Evaluator
-	bin   BatchOperator
-	bound boundPred
-	qc    *QueryCtx
+	bin  BatchOperator
+	pred boundPred
+	qc   *QueryCtx
 }
 
 // NewFilter builds a σ node.
@@ -53,13 +52,12 @@ func (f *PredicateFilter) SetContext(qc *QueryCtx) {
 	SetIterContext(f.Input, qc)
 }
 
-// Open opens the input.
+// Open binds the predicate and opens the input.
 func (f *PredicateFilter) Open() (err error) {
 	defer recoverOp("Filter", &err)
-	f.ev = &Evaluator{Schema: f.Input.Schema(), Lookup: f.Lookup}
+	f.pred = (&Evaluator{Schema: f.Input.Schema(), Lookup: f.Lookup}).BindPred(f.Pred)
 	if f.BatchSize > 1 {
 		f.bin = ToBatch(f.Input, f.BatchSize)
-		f.bound = f.ev.BindPred(f.Pred)
 	}
 	return f.Input.Open()
 }
@@ -72,7 +70,7 @@ func (f *PredicateFilter) Next() (row *Row, err error) {
 		if err != nil || row == nil {
 			return nil, err
 		}
-		ok, err := f.ev.EvalBool(f.Pred, row)
+		ok, err := f.pred(row)
 		if err != nil {
 			return nil, err
 		}
@@ -103,7 +101,7 @@ func (f *PredicateFilter) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		if err := FilterBatch(f.bound, b); err != nil {
+		if err := FilterBatch(f.pred, b); err != nil {
 			b.Release()
 			return nil, err
 		}

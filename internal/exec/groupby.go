@@ -113,12 +113,12 @@ func NewParallelGroupBy(workers []Iterator, keys []sql.Expr, aggs []AggSpec, loo
 // parallel paths: a hash of group states in first-seen order, charging
 // the query budget for every retained group. Each accumulator is used
 // by one goroutine; parallel partials are combined with mergeFrom on
-// the coordinating goroutine afterwards.
+// the coordinating goroutine afterwards. The bound key and argument
+// expressions are shared by every partial accumulator of one Open.
 type groupAcc struct {
-	keys   []sql.Expr
-	aggs   []AggSpec
+	keys   []boundExpr
+	args   []boundExpr // one per aggregate; nil for COUNT(*)
 	lookup model.AnnotationLookup
-	ev     *Evaluator
 	budget *Budget
 
 	byKey map[string]*groupState
@@ -127,11 +127,23 @@ type groupAcc struct {
 	chargedRows, chargedBytes int64
 }
 
-func newGroupAcc(schema *model.Schema, keys []sql.Expr, aggs []AggSpec,
-	lookup model.AnnotationLookup, budget *Budget) *groupAcc {
+// bindGroup binds the group keys and aggregate arguments once against
+// the input schema.
+func (g *GroupBy) bindGroup(schema *model.Schema) (keys, args []boundExpr) {
+	ev := &Evaluator{Schema: schema, Lookup: g.Lookup}
+	keys = ev.bindAll(g.Keys)
+	args = make([]boundExpr, len(g.Aggs))
+	for i, agg := range g.Aggs {
+		if !agg.Star && agg.Arg != nil {
+			args[i] = ev.Bind(agg.Arg)
+		}
+	}
+	return keys, args
+}
+
+func newGroupAcc(keys, args []boundExpr, lookup model.AnnotationLookup, budget *Budget) *groupAcc {
 	return &groupAcc{
-		keys: keys, aggs: aggs, lookup: lookup, budget: budget,
-		ev:    &Evaluator{Schema: schema, Lookup: lookup},
+		keys: keys, args: args, lookup: lookup, budget: budget,
 		byKey: map[string]*groupState{},
 	}
 }
@@ -145,7 +157,7 @@ func (a *groupAcc) add(row *Row) error {
 	keyVals := make([]model.Value, len(a.keys))
 	var kb strings.Builder
 	for i, k := range a.keys {
-		v, err := a.ev.Eval(k, row)
+		v, err := k(row)
 		if err != nil {
 			return err
 		}
@@ -156,7 +168,7 @@ func (a *groupAcc) add(row *Row) error {
 	key := kb.String()
 	gs, ok := a.byKey[key]
 	if !ok {
-		rb := approxRowBytes(row) + int64(len(a.aggs))*64
+		rb := approxRowBytes(row) + int64(len(a.args))*64
 		if cerr := a.budget.ChargeBuffered("GroupBy", 1, rb); cerr != nil {
 			return cerr
 		}
@@ -165,11 +177,11 @@ func (a *groupAcc) add(row *Row) error {
 		gs = &groupState{
 			keyVals: keyVals,
 			oid:     row.Tuple.OID,
-			sums:    make([]float64, len(a.aggs)),
-			isInt:   make([]bool, len(a.aggs)),
-			counts:  make([]int64, len(a.aggs)),
-			mins:    make([]model.Value, len(a.aggs)),
-			maxs:    make([]model.Value, len(a.aggs)),
+			sums:    make([]float64, len(a.args)),
+			isInt:   make([]bool, len(a.args)),
+			counts:  make([]int64, len(a.args)),
+			mins:    make([]model.Value, len(a.args)),
+			maxs:    make([]model.Value, len(a.args)),
 			charge:  rb,
 			summ:    model.NewAccumulator(row.Tuple.Summaries, a.lookup),
 		}
@@ -185,11 +197,11 @@ func (a *groupAcc) add(row *Row) error {
 		gs.summ.Add(row.Tuple.Summaries)
 	}
 	gs.count++
-	for ai, agg := range a.aggs {
-		if agg.Star || agg.Arg == nil {
+	for ai, arg := range a.args {
+		if arg == nil {
 			continue
 		}
-		v, err := a.ev.Eval(agg.Arg, row)
+		v, err := arg(row)
 		if err != nil {
 			return err
 		}
@@ -288,7 +300,8 @@ func (g *GroupBy) Open() (err error) {
 	}
 	defer g.Input.Close()
 
-	acc := newGroupAcc(g.Input.Schema(), g.Keys, g.Aggs, g.Lookup, g.qc.Budget())
+	keys, args := g.bindGroup(g.Input.Schema())
+	acc := newGroupAcc(keys, args, g.Lookup, g.qc.Budget())
 	// Keep the charge books on every exit path so Close releases
 	// whatever was committed before an error.
 	defer func() { g.chargedRows, g.chargedBytes = acc.chargedRows, acc.chargedBytes }()

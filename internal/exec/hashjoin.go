@@ -33,8 +33,9 @@ type HashJoin struct {
 	leftAliases  []string
 	rightAliases []string
 	table        map[string][]*Row
-	leftEv       *Evaluator
-	combinedEv   *Evaluator
+	leftKey      boundExpr
+	rightKey     boundExpr // shared by the parallel build's workers
+	residual     boundPred // nil when Residual is nil
 	cur          *Row
 	matches      []*Row
 	matchPos     int
@@ -92,8 +93,9 @@ func (j *HashJoin) Open() (err error) {
 	defer recoverOp("HashJoin", &err)
 	j.leftAliases = schemaAliases(j.Left.Schema())
 	j.rightAliases = schemaAliases(j.rightSchema())
-	j.leftEv = &Evaluator{Schema: j.Left.Schema(), Lookup: j.Lookup}
-	j.combinedEv = &Evaluator{Schema: j.schema, Lookup: j.Lookup}
+	j.leftKey = (&Evaluator{Schema: j.Left.Schema(), Lookup: j.Lookup}).Bind(j.LeftKey)
+	j.rightKey = (&Evaluator{Schema: j.rightSchema(), Lookup: j.Lookup}).Bind(j.RightKey)
+	j.residual = bindOptionalPred(&Evaluator{Schema: j.schema, Lookup: j.Lookup}, j.Residual)
 	if len(j.Builds) > 0 {
 		if err := j.openParallelBuild(); err != nil {
 			return err
@@ -101,7 +103,6 @@ func (j *HashJoin) Open() (err error) {
 		j.cur = nil
 		return j.Left.Open()
 	}
-	rightEv := &Evaluator{Schema: j.Right.Schema(), Lookup: j.Lookup}
 
 	budget := j.qc.Budget()
 	rows, err := Collect(j.Right)
@@ -110,7 +111,7 @@ func (j *HashJoin) Open() (err error) {
 	}
 	j.table = make(map[string][]*Row, len(rows))
 	for _, row := range rows {
-		key, err := rightEv.Eval(j.RightKey, row)
+		key, err := j.rightKey(row)
 		if err != nil {
 			return err
 		}
@@ -152,7 +153,7 @@ func (j *HashJoin) Next() (res *Row, err error) {
 			if j.cur == nil {
 				return nil, nil
 			}
-			key, err := j.leftEv.Eval(j.LeftKey, j.cur)
+			key, err := j.leftKey(j.cur)
 			if err != nil {
 				return nil, err
 			}
@@ -170,8 +171,8 @@ func (j *HashJoin) Next() (res *Row, err error) {
 			right := j.matches[j.matchPos]
 			j.matchPos++
 			combined := joinRow(j.cur, right, j.leftAliases, j.rightAliases)
-			if j.Residual != nil {
-				ok, err := j.combinedEv.EvalBool(j.Residual, combined)
+			if j.residual != nil {
+				ok, err := j.residual(combined)
 				if err != nil {
 					return nil, err
 				}

@@ -52,6 +52,15 @@ func schemaAliases(s *model.Schema) []string {
 	return out
 }
 
+// bindOptionalPred binds a join predicate that may be absent; a nil
+// predicate stays nil so the caller can skip it.
+func bindOptionalPred(ev *Evaluator, e sql.Expr) boundPred {
+	if e == nil {
+		return nil
+	}
+	return ev.BindPred(e)
+}
+
 // NLJoin is a block nested-loop join: the inner (right) input is
 // materialized once, then streamed per outer row. It preserves the outer
 // input's order — the property rules 5–6 rely on. It implements both the
@@ -71,7 +80,7 @@ type NLJoin struct {
 	inner        []*Row
 	cur          *Row
 	innerPos     int
-	ev           *Evaluator
+	on           boundPred // nil when On is nil
 	qc           *QueryCtx
 }
 
@@ -89,12 +98,12 @@ func NewNLJoin(left, right Iterator, on sql.Expr, propagate bool, lookup model.A
 		schema: left.Schema().Concat(right.Schema())}
 }
 
-// Open materializes the inner input.
+// Open binds the join predicate and materializes the inner input.
 func (j *NLJoin) Open() (err error) {
 	defer recoverOp("NLJoin", &err)
 	j.leftAliases = schemaAliases(j.Left.Schema())
 	j.rightAliases = schemaAliases(j.Right.Schema())
-	j.ev = &Evaluator{Schema: j.schema, Lookup: j.Lookup}
+	j.on = bindOptionalPred(&Evaluator{Schema: j.schema, Lookup: j.Lookup}, j.On)
 	j.inner, err = Collect(j.Right)
 	if err != nil {
 		return err
@@ -128,16 +137,14 @@ func (j *NLJoin) Next() (res *Row, err error) {
 			right := j.inner[j.innerPos]
 			j.innerPos++
 			combined := joinRow(j.cur, right, j.leftAliases, j.rightAliases)
-			ok := true
-			if j.On != nil {
-				var err error
-				ok, err = j.ev.EvalBool(j.On, combined)
+			if j.on != nil {
+				ok, err := j.on(combined)
 				if err != nil {
 					return nil, err
 				}
-			}
-			if !ok {
-				continue
+				if !ok {
+					continue
+				}
 			}
 			if j.Propagate {
 				mergeJoinOutput(combined, j.cur, right, j.Lookup)
@@ -178,8 +185,8 @@ type IndexJoin struct {
 	innerSchema  *model.Schema
 	leftAliases  []string
 	rightAliases []string
-	outerEv      *Evaluator
-	combinedEv   *Evaluator
+	outerKey     boundExpr
+	residual     boundPred // nil when Residual is nil
 	cur          *Row
 	matches      []*Row
 	matchPos     int
@@ -210,13 +217,13 @@ func NewIndexJoin(left Iterator, inner *catalog.Table, innerAlias, innerCol stri
 	}
 }
 
-// Open opens the outer input.
+// Open binds the probe key and residual and opens the outer input.
 func (j *IndexJoin) Open() (err error) {
 	defer recoverOp("IndexJoin", &err)
 	j.leftAliases = schemaAliases(j.Left.Schema())
 	j.rightAliases = []string{strings.ToLower(j.InnerAlias)}
-	j.outerEv = &Evaluator{Schema: j.Left.Schema(), Lookup: j.Lookup}
-	j.combinedEv = &Evaluator{Schema: j.schema, Lookup: j.Lookup}
+	j.outerKey = (&Evaluator{Schema: j.Left.Schema(), Lookup: j.Lookup}).Bind(j.OuterKey)
+	j.residual = bindOptionalPred(&Evaluator{Schema: j.schema, Lookup: j.Lookup}, j.Residual)
 	j.cur = nil
 	return j.Left.Open()
 }
@@ -234,7 +241,7 @@ func (j *IndexJoin) Next() (res *Row, err error) {
 			if j.cur == nil {
 				return nil, nil
 			}
-			key, err := j.outerEv.Eval(j.OuterKey, j.cur)
+			key, err := j.outerKey(j.cur)
 			if err != nil {
 				return nil, err
 			}
@@ -253,8 +260,8 @@ func (j *IndexJoin) Next() (res *Row, err error) {
 			right := j.matches[j.matchPos]
 			j.matchPos++
 			combined := joinRow(j.cur, right, j.leftAliases, j.rightAliases)
-			if j.Residual != nil {
-				ok, err := j.combinedEv.EvalBool(j.Residual, combined)
+			if j.residual != nil {
+				ok, err := j.residual(combined)
 				if err != nil {
 					return nil, err
 				}

@@ -194,9 +194,10 @@ func (g *GroupBy) openParallel() error {
 	defer cancel()
 	accs := make([]*groupAcc, len(g.Workers))
 	errs := make([]error, len(g.Workers))
+	keys, args := g.bindGroup(g.Workers[0].Schema())
 	var wg sync.WaitGroup
 	for i, w := range g.Workers {
-		acc := newGroupAcc(w.Schema(), g.Keys, g.Aggs, g.Lookup, g.qc.Budget())
+		acc := newGroupAcc(keys, args, g.Lookup, g.qc.Budget())
 		accs[i] = acc
 		SetIterContext(w, g.qc.Child(ctx))
 		wg.Add(1)
@@ -275,7 +276,6 @@ func (j *HashJoin) openParallelBuild() error {
 		wg.Add(1)
 		go func(i int, b Iterator) {
 			defer wg.Done()
-			ev := &Evaluator{Schema: b.Schema(), Lookup: j.Lookup}
 			run := &runs[i]
 			errs[i] = func() (err error) {
 				defer recoverOp("ParallelWorker", &err)
@@ -292,7 +292,7 @@ func (j *HashJoin) openParallelBuild() error {
 					if row == nil {
 						return nil
 					}
-					key, err := ev.Eval(j.RightKey, row)
+					key, err := j.rightKey(row)
 					if err != nil {
 						return err
 					}

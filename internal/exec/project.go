@@ -27,10 +27,9 @@ type Project struct {
 	// NextBatch; Next() is unaffected either way.
 	BatchSize int
 
-	ev     *Evaluator
-	bin    BatchOperator
-	bounds []boundExpr
-	qc     *QueryCtx
+	bin   BatchOperator
+	exprs []boundExpr
+	qc    *QueryCtx
 
 	// Row-mode output slab (amortized allocation; storage still escapes
 	// to the consumer, only the allocation is batched).
@@ -51,17 +50,13 @@ func (p *Project) SetContext(qc *QueryCtx) {
 	SetIterContext(p.Input, qc)
 }
 
-// Open opens the input.
+// Open binds the projection expressions and opens the input.
 func (p *Project) Open() (err error) {
 	defer recoverOp("Project", &err)
-	p.ev = &Evaluator{Schema: p.Input.Schema(), Lookup: p.Lookup}
+	p.exprs = (&Evaluator{Schema: p.Input.Schema(), Lookup: p.Lookup}).bindAll(p.Exprs)
 	p.slabRows, p.slabTuples, p.slabVals, p.slabPos = nil, nil, nil, 0
 	if p.BatchSize > 1 {
 		p.bin = ToBatch(p.Input, p.BatchSize)
-		p.bounds = make([]boundExpr, len(p.Exprs))
-		for i, e := range p.Exprs {
-			p.bounds[i] = p.ev.Bind(e)
-		}
 	}
 	return p.Input.Open()
 }
@@ -90,8 +85,8 @@ func (p *Project) Next() (res *Row, err error) {
 		return nil, err
 	}
 	out, tup, values := p.carve()
-	for i, e := range p.Exprs {
-		v, err := p.ev.Eval(e, row)
+	for i, be := range p.exprs {
+		v, err := be(row)
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +97,7 @@ func (p *Project) Next() (res *Row, err error) {
 	return out, nil
 }
 
-// NextBatch projects a whole input batch with pre-bound expressions,
+// NextBatch projects a whole input batch with the bound expressions,
 // writing outputs into per-batch slabs and refilling the same container
 // densely (consuming any selection vector).
 func (p *Project) NextBatch(qc *QueryCtx) (b *Batch, err error) {
@@ -119,13 +114,8 @@ func (p *Project) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	for i := 0; i < n; i++ {
 		row := b.Row(i)
 		vs := vals[i*k : (i+1)*k : (i+1)*k]
-		for j, be := range p.bounds {
-			r, err := be(row)
-			if err != nil {
-				b.Release()
-				return nil, err
-			}
-			v, err := resolveValue(p.Exprs[j], r)
+		for j, be := range p.exprs {
+			v, err := be(row)
 			if err != nil {
 				b.Release()
 				return nil, err

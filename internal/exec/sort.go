@@ -77,16 +77,17 @@ type keyedRow struct {
 	Row  *Row
 }
 
-func (s *Sort) computeKeys(ev *Evaluator, row *Row) ([]model.Value, error) {
-	keys := make([]model.Value, len(s.Keys))
-	for i, k := range s.Keys {
-		v, err := ev.Eval(k.Expr, row)
+// computeKeys evaluates the bound sort keys against one row.
+func computeKeys(keys []boundExpr, row *Row) ([]model.Value, error) {
+	out := make([]model.Value, len(keys))
+	for i, k := range keys {
+		v, err := k(row)
 		if err != nil {
 			return nil, err
 		}
-		keys[i] = v
+		out[i] = v
 	}
-	return keys, nil
+	return out, nil
 }
 
 // lessKeys orders two key vectors under the configured directions.
@@ -126,6 +127,10 @@ func (s *Sort) Open() (err error) {
 		return err
 	}
 	ev := &Evaluator{Schema: s.Input.Schema(), Lookup: s.Lookup}
+	keyExprs := make([]boundExpr, len(s.Keys))
+	for i, k := range s.Keys {
+		keyExprs[i] = ev.Bind(k.Expr)
+	}
 	if err := s.Input.Open(); err != nil {
 		return err
 	}
@@ -194,7 +199,7 @@ func (s *Sort) Open() (err error) {
 		if row == nil {
 			break
 		}
-		keys, err := s.computeKeys(ev, row)
+		keys, err := computeKeys(keyExprs, row)
 		if err != nil {
 			return err
 		}

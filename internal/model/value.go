@@ -139,6 +139,17 @@ func (v Value) Compare(o Value) (int, error) {
 			return 1, nil
 		}
 	}
+	if v.Kind == KindInt && o.Kind == KindInt {
+		// Exact: a float64 round trip would equate integers beyond 2^53.
+		switch {
+		case v.Int < o.Int:
+			return -1, nil
+		case v.Int > o.Int:
+			return 1, nil
+		default:
+			return 0, nil
+		}
+	}
 	if v.IsNumeric() && o.IsNumeric() {
 		a, b := v.AsFloat(), o.AsFloat()
 		switch {

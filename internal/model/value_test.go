@@ -89,7 +89,8 @@ func TestValueCompare(t *testing.T) {
 	mustCmp(NewInt(1), NewInt(2), -1)
 	mustCmp(NewInt(2), NewInt(2), 0)
 	mustCmp(NewInt(3), NewInt(2), 1)
-	mustCmp(NewInt(2), NewFloat(2.5), -1) // cross numeric kinds
+	mustCmp(NewInt(1<<53+1), NewInt(1<<53), 1) // exact beyond float64's integers
+	mustCmp(NewInt(2), NewFloat(2.5), -1)      // cross numeric kinds
 	mustCmp(NewFloat(2.5), NewInt(2), 1)
 	mustCmp(NewText("abc"), NewText("abd"), -1)
 	mustCmp(NewBool(false), NewBool(true), -1)
