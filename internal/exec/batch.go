@@ -147,6 +147,20 @@ func (b *Batch) selStorage(n int) []int32 {
 	return b.selStore[:0]
 }
 
+// liveSel returns the live physical row indices, first installing the
+// identity selection when the batch has none, so a filter can compact
+// the result in place.
+func (b *Batch) liveSel() []int32 {
+	if b.sel == nil {
+		sel := b.selStorage(len(b.rows))
+		for i := range b.rows {
+			sel = append(sel, int32(i))
+		}
+		b.sel = sel
+	}
+	return b.sel
+}
+
 // Truncate keeps only the first n live rows (LIMIT).
 func (b *Batch) Truncate(n int) {
 	if n >= b.Len() {

@@ -264,3 +264,141 @@ func TestFilterAttachesSummariesToPassingRows(t *testing.T) {
 		}
 	}
 }
+
+// TestScanTransientRowsRecycleSlabs checks that a TransientRows scan
+// carves every batch from the same Row storage, yields the same rows
+// as a scan with fresh slabs, and drops its slab's row references when
+// it pools the slab on Close.
+func TestScanTransientRowsRecycleSlabs(t *testing.T) {
+	f := newOpsFixture(t, 40, 0)
+	drain := func(scan *SeqScan, each func(b *Batch)) []string {
+		if err := scan.Open(); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for {
+			b, err := scan.NextBatch(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			for i := 0; i < b.Len(); i++ {
+				got = append(got, b.Row(i).Tuple.String())
+			}
+			each(b)
+			b.Release()
+		}
+		return got
+	}
+	fresh := NewSeqScan(f.r, "r", true)
+	fresh.BatchSize = 16
+	want := drain(fresh, func(*Batch) {})
+	fresh.Close()
+
+	scan := NewSeqScan(f.r, "r", true)
+	scan.BatchSize, scan.TransientRows = 16, true
+	var first *Row
+	got := drain(scan, func(b *Batch) {
+		if first == nil {
+			first = b.Row(0)
+		} else if b.Row(0) != first {
+			t.Fatal("TransientRows batch not carved from the recycled slab")
+		}
+	})
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("recycled rows differ from fresh rows:\n got %v\nwant %v", got, want)
+	}
+	slab := scan.slab
+	scan.Close()
+	if scan.slab != nil {
+		t.Fatal("Close kept the slab")
+	}
+	for i := range slab.rows {
+		if slab.rows[i].Tuple != nil || slab.tuples[i].Values != nil || slab.tuples[i].Summaries != nil {
+			t.Fatalf("pooled slab still references row %d", i)
+		}
+	}
+}
+
+// TestBindBatchPredMatchesRowPredicate holds the batch predicate
+// compiler to BindPred: over rows mixing integers, floats, texts and
+// NULLs, each predicate keeps exactly the rows BindPred accepts — from
+// a dense batch and through an existing selection — and fails with
+// BindPred's error when a row cannot be compared.
+func TestBindBatchPredMatchesRowPredicate(t *testing.T) {
+	schema := model.NewSchema("r",
+		model.Column{Name: "a", Kind: model.KindInt},
+		model.Column{Name: "f", Kind: model.KindFloat},
+		model.Column{Name: "name", Kind: model.KindText})
+	ints := []model.Value{model.Null(), model.NewInt(-3), model.NewInt(5), model.NewInt(9007199254740993)}
+	floats := []model.Value{model.Null(), model.NewFloat(2.5), model.NewFloat(5)}
+	names := []model.Value{model.Null(), model.NewText("Swan"), model.NewText("goose")}
+	var rows []*Row
+	for _, a := range ints {
+		for _, fv := range floats {
+			for _, n := range names {
+				rows = append(rows, &Row{Tuple: &model.Tuple{Values: []model.Value{a, fv, n}}})
+			}
+		}
+	}
+	preds := []string{
+		"a > 0", "0 < a", "a >= 5", "5 >= a", "a = 9007199254740992", "a <> 9007199254740993",
+		"a = NULL", "NULL <> a", "f > 2", "2 > f", "a = 5.0", "5.0 = a", "a < f", "f <= 2.5",
+		"name = 'Swan'", "'Swan' < name", "name <> 'goose'",
+		"a > 0 AND name = 'Swan'", "a > 0 AND f > 2 AND name <> 'Swan'",
+		"a > 0 OR name = 'Swan'", "NOT (a > 0) AND f = 5", "name LIKE 'S%'",
+		"a > 'x'", "'x' < a", "a > 100 AND name > 3",
+	}
+	ev := &Evaluator{Schema: schema}
+	for _, src := range preds {
+		e := mustExpr(t, src)
+		rowPred, batchPred := ev.BindPred(e), ev.BindBatchPred(e)
+		for _, start := range [][]int32{nil, {1, 2, 4, 7, 8, 13, 20, 30, 35}} {
+			var want []*Row
+			var wantErr error
+			live := start
+			if live == nil {
+				for i := range rows {
+					live = append(live, int32(i))
+				}
+			}
+			for _, i := range live {
+				ok, err := rowPred(rows[i])
+				if err != nil {
+					wantErr = err
+					break
+				}
+				if ok {
+					want = append(want, rows[i])
+				}
+			}
+			b := GetBatch(len(rows))
+			for _, r := range rows {
+				b.Append(r)
+			}
+			if start != nil {
+				b.sel = append(b.selStorage(len(start)), start...)
+			}
+			err := batchPred(b)
+			switch {
+			case wantErr != nil:
+				if err == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("%s: batch error %v, row error %q", src, err, wantErr)
+				}
+			case err != nil:
+				t.Fatalf("%s: batch error %q, row mode none", src, err)
+			default:
+				var got []*Row
+				for i := 0; i < b.Len(); i++ {
+					got = append(got, b.Row(i))
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s (selection %v): batch keeps %d rows, row mode %d", src, start, len(got), len(want))
+				}
+			}
+			b.Release()
+		}
+	}
+}

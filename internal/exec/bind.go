@@ -241,6 +241,108 @@ func (ev *Evaluator) bindValueRef(e sql.Expr) func(*Row) *model.Value {
 	return nil
 }
 
+// batchPred is the batch specialization of boundPred: it filters a
+// whole batch at once, compacting its selection vector in place.
+type batchPred func(b *Batch) error
+
+// BindBatchPred compiles a predicate for a batched filter. A
+// conjunction applies its conjuncts one after the other, each over the
+// rows the ones before it kept — the rows and truth of row-at-a-time
+// short-circuiting — and a comparison between a column and a literal
+// runs as one typed loop over the live rows, with no closure call per
+// row. Everything else filters row by row through BindPred.
+func (ev *Evaluator) BindBatchPred(e sql.Expr) batchPred {
+	if n, ok := e.(*sql.Binary); ok {
+		switch {
+		case n.Op == sql.OpAnd:
+			lp, rp := ev.BindBatchPred(n.L), ev.BindBatchPred(n.R)
+			return func(b *Batch) error {
+				if err := lp(b); err != nil || b.Len() == 0 {
+					return err
+				}
+				return rp(b)
+			}
+		case n.Op.IsComparison() && n.Op != sql.OpLike:
+			if p := ev.bindBatchCompare(n); p != nil {
+				return p
+			}
+		}
+	}
+	pred := ev.BindPred(e)
+	return func(b *Batch) error { return FilterBatch(pred, b) }
+}
+
+// bindBatchCompare lowers a comparison of a column with a literal, in
+// either order, to a loop reading the column in place. Per row it
+// decides exactly as bindComparePred does: NULL on either side is
+// false, integers and texts compare directly, and any other kind pair
+// goes through model.Value.Compare with the operands in query order,
+// so a mixed-kind error is the same error. Returns nil for any other
+// shape, or an unresolvable column (which keeps its per-row error).
+func (ev *Evaluator) bindBatchCompare(n *sql.Binary) batchPred {
+	colExpr, litExpr, litLeft := n.L, n.R, false
+	if _, ok := n.L.(*sql.Literal); ok {
+		colExpr, litExpr, litLeft = n.R, n.L, true
+	}
+	ref, ok := colExpr.(*sql.ColumnRef)
+	if !ok {
+		return nil
+	}
+	lit, ok := litExpr.(*sql.Literal)
+	if !ok {
+		return nil
+	}
+	i, err := ev.Schema.ColIndex(ref.Qualifier, ref.Name)
+	if err != nil {
+		return nil
+	}
+	k, op := lit.Value, n.Op
+	return func(b *Batch) error {
+		sel := b.liveSel()
+		out := sel[:0]
+		for _, phys := range sel {
+			v := &b.rows[phys].Tuple.Values[i]
+			if v.Kind == model.KindNull || k.Kind == model.KindNull {
+				continue
+			}
+			// c orders the operands in query order.
+			var c int
+			switch {
+			case v.Kind == model.KindInt && k.Kind == model.KindInt:
+				switch {
+				case v.Int < k.Int:
+					c = -1
+				case v.Int > k.Int:
+					c = 1
+				}
+				if litLeft {
+					c = -c
+				}
+			case v.Kind == model.KindText && k.Kind == model.KindText:
+				c = strings.Compare(v.Text, k.Text)
+				if litLeft {
+					c = -c
+				}
+			case litLeft:
+				var err error
+				if c, err = k.Compare(*v); err != nil {
+					return err
+				}
+			default:
+				var err error
+				if c, err = v.Compare(k); err != nil {
+					return err
+				}
+			}
+			if compareHolds(op, c) {
+				out = append(out, phys)
+			}
+		}
+		b.sel = out
+		return nil
+	}
+}
+
 // FilterBatch evaluates a bound predicate over every live row of b and
 // compacts the batch's selection vector in place to the qualifying
 // rows. Rows are neither copied nor moved: a filter costs one int32

@@ -31,9 +31,10 @@ type PredicateFilter struct {
 	AttachFrom  *catalog.Table
 	AttachAlias string
 
-	bin  BatchOperator
-	pred boundPred
-	qc   *QueryCtx
+	bin   BatchOperator
+	pred  boundPred
+	bpred batchPred
+	qc    *QueryCtx
 }
 
 // NewFilter builds a σ node.
@@ -55,9 +56,11 @@ func (f *PredicateFilter) SetContext(qc *QueryCtx) {
 // Open binds the predicate and opens the input.
 func (f *PredicateFilter) Open() (err error) {
 	defer recoverOp("Filter", &err)
-	f.pred = (&Evaluator{Schema: f.Input.Schema(), Lookup: f.Lookup}).BindPred(f.Pred)
+	ev := &Evaluator{Schema: f.Input.Schema(), Lookup: f.Lookup}
+	f.pred = ev.BindPred(f.Pred)
 	if f.BatchSize > 1 {
 		f.bin = ToBatch(f.Input, f.BatchSize)
+		f.bpred = ev.BindBatchPred(f.Pred)
 	}
 	return f.Input.Open()
 }
@@ -91,7 +94,7 @@ func (f *PredicateFilter) attach(row *Row) {
 	row.AliasSets = aliasSet(f.AttachAlias, row.Tuple.Summaries)
 }
 
-// NextBatch filters input batches with the bound predicate, compacting
+// NextBatch filters input batches with the batch-bound predicate, compacting
 // each batch's selection vector in place (no row copies) and skipping
 // batches the predicate empties.
 func (f *PredicateFilter) NextBatch(qc *QueryCtx) (b *Batch, err error) {
@@ -101,7 +104,7 @@ func (f *PredicateFilter) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		if err := FilterBatch(f.pred, b); err != nil {
+		if err := f.bpred(b); err != nil {
 			b.Release()
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"strings"
+	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/heap"
@@ -32,11 +33,44 @@ type SeqScan struct {
 	// BatchStart > 0 makes the first batch that many rows, doubling per
 	// batch up to BatchSize.
 	BatchStart int
+	// TransientRows promises that no row of a batch is used after the
+	// next NextBatch call or Close (a batched Project above copies what
+	// it keeps), so the Row and Tuple slabs are recycled across batches
+	// and, through scanSlabPool, across scans.
+	TransientRows bool
 
 	schema *model.Schema
 	cursor *heap.Cursor[[]model.Value]
 	qc     *QueryCtx
 	grow   batchGrowth
+	slab   *scanSlab
+}
+
+// scanSlab is the Row and Tuple storage one batch is carved from; used
+// is the high-water mark of carved entries, cleared before the slab is
+// pooled so it pins no tuple values or summary sets.
+type scanSlab struct {
+	rows   []Row
+	tuples []model.Tuple
+	used   int
+}
+
+var scanSlabPool sync.Pool
+
+// getScanSlab returns a pooled slab of at least size entries, or a new
+// one.
+func getScanSlab(size int) *scanSlab {
+	if sl, ok := scanSlabPool.Get().(*scanSlab); ok && len(sl.rows) >= size {
+		return sl
+	}
+	return &scanSlab{rows: make([]Row, size), tuples: make([]model.Tuple, size)}
+}
+
+func putScanSlab(sl *scanSlab) {
+	clear(sl.rows[:sl.used])
+	clear(sl.tuples[:sl.used])
+	sl.used = 0
+	scanSlabPool.Put(sl)
 }
 
 // NewSeqScan builds a sequential scan.
@@ -88,10 +122,11 @@ func (s *SeqScan) Next() (row *Row, err error) {
 
 // NextBatch fills a row vector from the cursor. Row and Tuple storage
 // is carved from two per-batch slabs (two allocations per batch instead
-// of two per row), and the per-alias summary map is skipped entirely
-// for rows without summaries — SetFor falls back to Tuple.Summaries,
-// which is observationally identical. Cancellation is polled once per
-// batch; the deferred panic trap is likewise paid once per batch.
+// of two per row; none in steady state with TransientRows), and the
+// per-alias summary map is skipped entirely for rows without summaries
+// — SetFor falls back to Tuple.Summaries, which is observationally
+// identical. Cancellation is polled once per batch; the deferred panic
+// trap is likewise paid once per batch.
 func (s *SeqScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("SeqScan", &err)
 	if err := qc.check(); err != nil {
@@ -110,13 +145,12 @@ func (s *SeqScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 		if rows == nil {
 			// Lazily carve the slabs so the terminal empty batch costs
 			// nothing.
-			rows = make([]Row, size)
-			tuples = make([]model.Tuple, size)
+			rows, tuples = s.slabs(size)
 		}
 		t := &tuples[n]
-		t.OID, t.Values = oid, values
+		*t = model.Tuple{OID: oid, Values: values}
 		r := &rows[n]
-		r.Tuple = t
+		*r = Row{Tuple: t}
 		if s.Propagate {
 			t.Summaries = s.Table.GetSummaries(oid)
 			r.AliasSets = aliasSet(s.Alias, t.Summaries)
@@ -128,12 +162,35 @@ func (s *SeqScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 		b.Release()
 		return nil, nil
 	}
+	if s.slab != nil {
+		s.slab.used = max(s.slab.used, n)
+	}
 	return b, nil
 }
 
+// slabs returns Row and Tuple storage for a batch of size rows: fresh
+// slabs, or with TransientRows the scan's recycled ones (whose previous
+// batch is dead by contract).
+func (s *SeqScan) slabs(size int) ([]Row, []model.Tuple) {
+	if !s.TransientRows {
+		return make([]Row, size), make([]model.Tuple, size)
+	}
+	if s.slab == nil || len(s.slab.rows) < size {
+		if s.slab != nil {
+			putScanSlab(s.slab)
+		}
+		s.slab = getScanSlab(size)
+	}
+	return s.slab.rows[:size], s.slab.tuples[:size]
+}
+
 // Close releases the cursor (unpinning its buffer-pool frame when the
-// scan stopped mid-page).
+// scan stopped mid-page) and pools the recycled slabs.
 func (s *SeqScan) Close() error {
+	if s.slab != nil {
+		putScanSlab(s.slab)
+		s.slab = nil
+	}
 	if s.cursor != nil {
 		s.cursor.Close()
 		s.cursor = nil

@@ -124,6 +124,7 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator,
 		s := exec.NewSeqScan(node.Table, node.Alias, need)
 		s.Part = opts.part
 		s.BatchSize, s.BatchStart = node.Batch, node.BatchStart
+		s.TransientRows = opts.transientRows && node.Batch > 1
 		return s, nil
 
 	case *plan.GatherNode:
@@ -310,7 +311,13 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator,
 		return exec.NewGroupBy(child, node.Keys, node.Aggs, env.Lookup), nil
 
 	case *plan.ProjectNode:
-		child, err := compile(node.Child, env, childBatchOpts(opts, node.Batch), need || usesDollar(node.Exprs...))
+		// A batched projection copies each input row's values, OID and
+		// summary references into rows of its own, so the segment below
+		// it (pass-through filters and limits over the scan leaf) never
+		// hands its scan rows past this batch.
+		copts := childBatchOpts(opts, node.Batch)
+		copts.transientRows = node.Batch > 1
+		child, err := compile(node.Child, env, copts, need || usesDollar(node.Exprs...))
 		if err != nil {
 			return nil, err
 		}
