@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/model"
 	"repro/internal/sql"
@@ -180,13 +179,11 @@ func (ev *Evaluator) BindPred(e sql.Expr) boundPred {
 }
 
 // bindComparePred lowers a comparison whose operands are both column
-// references or literals to a direct compare: no value copies, and an
-// inline int64 compare for the overwhelmingly common
-// integer-column-vs-integer-constant conjunct. Returns nil when an
-// operand is any other shape (caller falls back to the generic bound
-// path). Semantics mirror applyBinary exactly: either side NULL is
-// false, mixed-kind comparisons report the same model.Value.Compare
-// error.
+// references or literals to a direct compare of the operands read in
+// place: no value copies, and compareValues' inline int64 compare for
+// the overwhelmingly common integer-column-vs-integer-constant
+// conjunct. Returns nil when an operand is any other shape (caller
+// falls back to the generic bound path).
 func (ev *Evaluator) bindComparePred(n *sql.Binary) boundPred {
 	lg := ev.bindValueRef(n.L)
 	rg := ev.bindValueRef(n.R)
@@ -194,31 +191,7 @@ func (ev *Evaluator) bindComparePred(n *sql.Binary) boundPred {
 		return nil
 	}
 	op := n.Op
-	return func(row *Row) (bool, error) {
-		l, r := lg(row), rg(row)
-		if l.Kind == model.KindNull || r.Kind == model.KindNull {
-			return false, nil
-		}
-		var c int
-		switch {
-		case l.Kind == model.KindInt && r.Kind == model.KindInt:
-			switch {
-			case l.Int < r.Int:
-				c = -1
-			case l.Int > r.Int:
-				c = 1
-			}
-		case l.Kind == model.KindText && r.Kind == model.KindText:
-			c = strings.Compare(l.Text, r.Text)
-		default:
-			var err error
-			c, err = l.Compare(*r)
-			if err != nil {
-				return false, err
-			}
-		}
-		return compareHolds(op, c), nil
-	}
+	return func(row *Row) (bool, error) { return compareValues(op, lg(row), rg(row)) }
 }
 
 // bindValueRef resolves a simple operand — column reference or literal
@@ -247,100 +220,25 @@ type batchPred func(b *Batch) error
 
 // BindBatchPred compiles a predicate for a batched filter. A
 // conjunction applies its conjuncts one after the other, each over the
-// rows the ones before it kept — the rows and truth of row-at-a-time
-// short-circuiting — and a comparison between a column and a literal
-// runs as one typed loop over the live rows, with no closure call per
-// row. Everything else filters row by row through BindPred.
+// rows the ones before it kept, so every conjunct runs as one loop over
+// the batch instead of a closure chain per row; anything else filters
+// through BindPred. It keeps exactly the rows BindPred keeps and fails
+// whenever BindPred fails on some row of the batch, but when two
+// conjuncts fail on different rows it may report the other conjunct's
+// error, since it finishes one conjunct over the batch before starting
+// the next.
 func (ev *Evaluator) BindBatchPred(e sql.Expr) batchPred {
-	if n, ok := e.(*sql.Binary); ok {
-		switch {
-		case n.Op == sql.OpAnd:
-			lp, rp := ev.BindBatchPred(n.L), ev.BindBatchPred(n.R)
-			return func(b *Batch) error {
-				if err := lp(b); err != nil || b.Len() == 0 {
-					return err
-				}
-				return rp(b)
+	if n, ok := e.(*sql.Binary); ok && n.Op == sql.OpAnd {
+		lp, rp := ev.BindBatchPred(n.L), ev.BindBatchPred(n.R)
+		return func(b *Batch) error {
+			if err := lp(b); err != nil || b.Len() == 0 {
+				return err
 			}
-		case n.Op.IsComparison() && n.Op != sql.OpLike:
-			if p := ev.bindBatchCompare(n); p != nil {
-				return p
-			}
+			return rp(b)
 		}
 	}
 	pred := ev.BindPred(e)
 	return func(b *Batch) error { return FilterBatch(pred, b) }
-}
-
-// bindBatchCompare lowers a comparison of a column with a literal, in
-// either order, to a loop reading the column in place. Per row it
-// decides exactly as bindComparePred does: NULL on either side is
-// false, integers and texts compare directly, and any other kind pair
-// goes through model.Value.Compare with the operands in query order,
-// so a mixed-kind error is the same error. Returns nil for any other
-// shape, or an unresolvable column (which keeps its per-row error).
-func (ev *Evaluator) bindBatchCompare(n *sql.Binary) batchPred {
-	colExpr, litExpr, litLeft := n.L, n.R, false
-	if _, ok := n.L.(*sql.Literal); ok {
-		colExpr, litExpr, litLeft = n.R, n.L, true
-	}
-	ref, ok := colExpr.(*sql.ColumnRef)
-	if !ok {
-		return nil
-	}
-	lit, ok := litExpr.(*sql.Literal)
-	if !ok {
-		return nil
-	}
-	i, err := ev.Schema.ColIndex(ref.Qualifier, ref.Name)
-	if err != nil {
-		return nil
-	}
-	k, op := lit.Value, n.Op
-	return func(b *Batch) error {
-		sel := b.liveSel()
-		out := sel[:0]
-		for _, phys := range sel {
-			v := &b.rows[phys].Tuple.Values[i]
-			if v.Kind == model.KindNull || k.Kind == model.KindNull {
-				continue
-			}
-			// c orders the operands in query order.
-			var c int
-			switch {
-			case v.Kind == model.KindInt && k.Kind == model.KindInt:
-				switch {
-				case v.Int < k.Int:
-					c = -1
-				case v.Int > k.Int:
-					c = 1
-				}
-				if litLeft {
-					c = -c
-				}
-			case v.Kind == model.KindText && k.Kind == model.KindText:
-				c = strings.Compare(v.Text, k.Text)
-				if litLeft {
-					c = -c
-				}
-			case litLeft:
-				var err error
-				if c, err = k.Compare(*v); err != nil {
-					return err
-				}
-			default:
-				var err error
-				if c, err = v.Compare(k); err != nil {
-					return err
-				}
-			}
-			if compareHolds(op, c) {
-				out = append(out, phys)
-			}
-		}
-		b.sel = out
-		return nil
-	}
 }
 
 // FilterBatch evaluates a bound predicate over every live row of b and
@@ -349,22 +247,9 @@ func (ev *Evaluator) bindBatchCompare(n *sql.Binary) batchPred {
 // write per surviving row. The in-place compaction is safe because the
 // write position never passes the read position.
 func FilterBatch(pred boundPred, b *Batch) error {
-	if b.sel == nil {
-		sel := b.selStorage(len(b.rows))
-		for i, row := range b.rows {
-			ok, err := pred(row)
-			if err != nil {
-				return err
-			}
-			if ok {
-				sel = append(sel, int32(i))
-			}
-		}
-		b.sel = sel
-		return nil
-	}
-	out := b.sel[:0]
-	for _, phys := range b.sel {
+	sel := b.liveSel()
+	out := sel[:0]
+	for _, phys := range sel {
 		ok, err := pred(b.rows[phys])
 		if err != nil {
 			return err

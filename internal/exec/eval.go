@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strings"
@@ -74,21 +75,21 @@ func negValue(v model.Value) (model.Value, error) {
 // operands: NULL comparisons collapse to false, division by zero yields
 // NULL, text + text concatenates, and LIKE is case-insensitive.
 func applyBinary(op sql.BinaryOp, l, r model.Value) (model.Value, error) {
-	if op.IsComparison() {
+	if op == sql.OpLike {
 		if l.IsNull() || r.IsNull() {
 			return model.NewBool(false), nil
 		}
-		if op == sql.OpLike {
-			if l.Kind != model.KindText || r.Kind != model.KindText {
-				return model.Value{}, fmt.Errorf("exec: LIKE requires text operands")
-			}
-			return model.NewBool(matchLike(l.Text, r.Text)), nil
+		if l.Kind != model.KindText || r.Kind != model.KindText {
+			return model.Value{}, fmt.Errorf("exec: LIKE requires text operands")
 		}
-		c, err := l.Compare(r)
+		return model.NewBool(matchLike(l.Text, r.Text)), nil
+	}
+	if op.IsComparison() {
+		ok, err := compareValues(op, &l, &r)
 		if err != nil {
 			return model.Value{}, err
 		}
-		return model.NewBool(compareHolds(op, c)), nil
+		return model.NewBool(ok), nil
 	}
 
 	// Arithmetic.
@@ -132,6 +133,30 @@ func applyBinary(op sql.BinaryOp, l, r model.Value) (model.Value, error) {
 		return model.NewFloat(a / b), nil
 	}
 	return model.Value{}, fmt.Errorf("exec: unsupported binary op %s", op)
+}
+
+// compareValues decides a comparison other than LIKE over two operands
+// read in place: NULL on either side is false, integers and texts
+// compare directly, and any other kind pair goes through
+// model.Value.Compare, whose error it returns. applyBinary, bound
+// predicates and batch filters all compare through it.
+func compareValues(op sql.BinaryOp, l, r *model.Value) (bool, error) {
+	if l.Kind == model.KindNull || r.Kind == model.KindNull {
+		return false, nil
+	}
+	var c int
+	switch {
+	case l.Kind == model.KindInt && r.Kind == model.KindInt:
+		c = cmp.Compare(l.Int, r.Int)
+	case l.Kind == model.KindText && r.Kind == model.KindText:
+		c = strings.Compare(l.Text, r.Text)
+	default:
+		var err error
+		if c, err = l.Compare(*r); err != nil {
+			return false, err
+		}
+	}
+	return compareHolds(op, c), nil
 }
 
 // compareHolds reports whether a three-way comparison result c

@@ -7,17 +7,17 @@ import (
 	"repro/internal/sql"
 )
 
+// projectSlabRows is how many output rows Project carves from one slab
+// refill (three allocations per 256 rows instead of three per row; see
+// the Iterator ownership rule — carved storage is handed to the
+// consumer and never reused).
+const projectSlabRows = 256
+
 // Project evaluates projection expressions into a new row. Summary sets
 // pass through unchanged: per Theorems 1–2 of the original InsightNotes
 // paper, the elimination of projected-out annotations' effects happens
 // once, below all merges, in SummaryEffectProject — later projections
 // are pure column manipulation (the paper's Figure 3, step 4).
-// projectSlabRows is how many output rows the row-at-a-time path carves
-// from one slab refill (three allocations per 256 rows instead of three
-// per row; see the Iterator ownership rule — carved storage is handed
-// to the consumer and never reused).
-const projectSlabRows = 256
-
 type Project struct {
 	Input  Iterator
 	Exprs  []sql.Expr
@@ -31,8 +31,8 @@ type Project struct {
 	exprs []boundExpr
 	qc    *QueryCtx
 
-	// Row-mode output slab (amortized allocation; storage still escapes
-	// to the consumer, only the allocation is batched).
+	// Output slab (amortized allocation; storage still escapes to the
+	// consumer, only the allocation is batched).
 	slabRows   []Row
 	slabTuples []model.Tuple
 	slabVals   []model.Value
@@ -84,6 +84,11 @@ func (p *Project) Next() (res *Row, err error) {
 	if err != nil || row == nil {
 		return nil, err
 	}
+	return p.project(row)
+}
+
+// project evaluates the bound expressions over row into carved storage.
+func (p *Project) project(row *Row) (*Row, error) {
 	out, tup, values := p.carve()
 	for i, be := range p.exprs {
 		v, err := be(row)
@@ -97,9 +102,10 @@ func (p *Project) Next() (res *Row, err error) {
 	return out, nil
 }
 
-// NextBatch projects a whole input batch with the bound expressions,
-// writing outputs into per-batch slabs and refilling the same container
-// densely (consuming any selection vector).
+// NextBatch projects a whole input batch into carved rows, refilling
+// the same container densely in place (consuming any selection vector):
+// live row i sits at physical index >= i, so writing output i never
+// overwrites an input row still to be read.
 func (p *Project) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("Project", &err)
 	b, err = p.bin.NextBatch(qc)
@@ -107,28 +113,15 @@ func (p *Project) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 		return nil, err
 	}
 	n := b.Len()
-	k := len(p.Exprs)
-	vals := make([]model.Value, n*k)
-	tuples := make([]model.Tuple, n)
-	rows := make([]Row, n)
 	for i := 0; i < n; i++ {
-		row := b.Row(i)
-		vs := vals[i*k : (i+1)*k : (i+1)*k]
-		for j, be := range p.exprs {
-			v, err := be(row)
-			if err != nil {
-				b.Release()
-				return nil, err
-			}
-			vs[j] = v
+		out, err := p.project(b.Row(i))
+		if err != nil {
+			b.Release()
+			return nil, err
 		}
-		tuples[i] = model.Tuple{OID: row.Tuple.OID, Values: vs, Summaries: row.Tuple.Summaries}
-		rows[i] = Row{Tuple: &tuples[i], AliasSets: row.AliasSets}
+		b.rows[i] = out
 	}
-	b.Reset()
-	for i := range rows {
-		b.Append(&rows[i])
-	}
+	b.rows, b.sel = b.rows[:n], nil
 	return b, nil
 }
 

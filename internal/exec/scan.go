@@ -35,43 +35,25 @@ type SeqScan struct {
 	BatchStart int
 	// TransientRows promises that no row of a batch is used after the
 	// next NextBatch call or Close (a batched Project above copies what
-	// it keeps), so the Row and Tuple slabs are recycled across batches
-	// and, through scanSlabPool, across scans.
+	// it keeps), so every batch is carved from one recycled slab, pooled
+	// across scans.
 	TransientRows bool
 
 	schema *model.Schema
 	cursor *heap.Cursor[[]model.Value]
 	qc     *QueryCtx
 	grow   batchGrowth
-	slab   *scanSlab
+	reused *[]scanSlot
 }
 
-// scanSlab is the Row and Tuple storage one batch is carved from; used
-// is the high-water mark of carved entries, cleared before the slab is
-// pooled so it pins no tuple values or summary sets.
-type scanSlab struct {
-	rows   []Row
-	tuples []model.Tuple
-	used   int
+// scanSlot is the Row and Tuple storage of one batched scan row.
+type scanSlot struct {
+	row   Row
+	tuple model.Tuple
 }
 
-var scanSlabPool sync.Pool
-
-// getScanSlab returns a pooled slab of at least size entries, or a new
-// one.
-func getScanSlab(size int) *scanSlab {
-	if sl, ok := scanSlabPool.Get().(*scanSlab); ok && len(sl.rows) >= size {
-		return sl
-	}
-	return &scanSlab{rows: make([]Row, size), tuples: make([]model.Tuple, size)}
-}
-
-func putScanSlab(sl *scanSlab) {
-	clear(sl.rows[:sl.used])
-	clear(sl.tuples[:sl.used])
-	sl.used = 0
-	scanSlabPool.Put(sl)
-}
+// slabPool holds cleared TransientRows slabs.
+var slabPool sync.Pool
 
 // NewSeqScan builds a sequential scan.
 func NewSeqScan(t *catalog.Table, alias string, propagate bool) *SeqScan {
@@ -121,12 +103,12 @@ func (s *SeqScan) Next() (row *Row, err error) {
 }
 
 // NextBatch fills a row vector from the cursor. Row and Tuple storage
-// is carved from two per-batch slabs (two allocations per batch instead
-// of two per row; none in steady state with TransientRows), and the
-// per-alias summary map is skipped entirely for rows without summaries
-// — SetFor falls back to Tuple.Summaries, which is observationally
-// identical. Cancellation is polled once per batch; the deferred panic
-// trap is likewise paid once per batch.
+// is carved from one per-batch slab (one allocation per batch instead
+// of two per row, and none in steady state with TransientRows), and
+// the per-alias summary map is skipped entirely for rows without
+// summaries — SetFor falls back to Tuple.Summaries, which is
+// observationally identical. Cancellation is polled once per batch; the
+// deferred panic trap is likewise paid once per batch.
 func (s *SeqScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("SeqScan", &err)
 	if err := qc.check(); err != nil {
@@ -134,62 +116,60 @@ func (s *SeqScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	}
 	size := s.grow.size(s.BatchSize)
 	b = GetBatch(size)
-	var rows []Row
-	var tuples []model.Tuple
+	var slab []scanSlot
 	n := 0
 	for n < size {
 		_, oid, values, ok := s.cursor.Next()
 		if !ok {
 			break
 		}
-		if rows == nil {
-			// Lazily carve the slabs so the terminal empty batch costs
+		if slab == nil {
+			// Lazily carve the slab so the terminal empty batch costs
 			// nothing.
-			rows, tuples = s.slabs(size)
+			slab = s.slab(size)
 		}
-		t := &tuples[n]
-		*t = model.Tuple{OID: oid, Values: values}
-		r := &rows[n]
-		*r = Row{Tuple: t}
+		sl := &slab[n]
+		sl.tuple = model.Tuple{OID: oid, Values: values}
+		sl.row = Row{Tuple: &sl.tuple}
 		if s.Propagate {
-			t.Summaries = s.Table.GetSummaries(oid)
-			r.AliasSets = aliasSet(s.Alias, t.Summaries)
+			sl.tuple.Summaries = s.Table.GetSummaries(oid)
+			sl.row.AliasSets = aliasSet(s.Alias, sl.tuple.Summaries)
 		}
-		b.Append(r)
+		b.Append(&sl.row)
 		n++
 	}
 	if n == 0 {
 		b.Release()
 		return nil, nil
 	}
-	if s.slab != nil {
-		s.slab.used = max(s.slab.used, n)
-	}
 	return b, nil
 }
 
-// slabs returns Row and Tuple storage for a batch of size rows: fresh
-// slabs, or with TransientRows the scan's recycled ones (whose previous
-// batch is dead by contract).
-func (s *SeqScan) slabs(size int) ([]Row, []model.Tuple) {
-	if !s.TransientRows {
-		return make([]Row, size), make([]model.Tuple, size)
+// slab returns storage for a batch of size rows: a fresh slab, or with
+// TransientRows the scan's recycled one, whose previous batch is dead
+// by contract.
+func (s *SeqScan) slab(size int) []scanSlot {
+	if !s.TransientRows || s.BatchSize <= 1 {
+		return make([]scanSlot, size)
 	}
-	if s.slab == nil || len(s.slab.rows) < size {
-		if s.slab != nil {
-			putScanSlab(s.slab)
+	if s.reused == nil {
+		p, ok := slabPool.Get().(*[]scanSlot)
+		if !ok || len(*p) < s.BatchSize {
+			sl := make([]scanSlot, s.BatchSize)
+			p = &sl
 		}
-		s.slab = getScanSlab(size)
+		s.reused = p
 	}
-	return s.slab.rows[:size], s.slab.tuples[:size]
+	return (*s.reused)[:size]
 }
 
 // Close releases the cursor (unpinning its buffer-pool frame when the
-// scan stopped mid-page) and pools the recycled slabs.
+// scan stopped mid-page) and pools a cleared TransientRows slab.
 func (s *SeqScan) Close() error {
-	if s.slab != nil {
-		putScanSlab(s.slab)
-		s.slab = nil
+	if s.reused != nil {
+		clear(*s.reused)
+		slabPool.Put(s.reused)
+		s.reused = nil
 	}
 	if s.cursor != nil {
 		s.cursor.Close()

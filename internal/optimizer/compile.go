@@ -119,12 +119,16 @@ func childBatchOpts(opts Options, batch int) Options {
 }
 
 func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator, error) {
+	// Only a batched Project, filter (σ or S) or limit passes
+	// transientRows on.
+	transient := opts.transientRows
+	opts.transientRows = false
 	switch node := n.(type) {
 	case *plan.Scan:
 		s := exec.NewSeqScan(node.Table, node.Alias, need)
 		s.Part = opts.part
 		s.BatchSize, s.BatchStart = node.Batch, node.BatchStart
-		s.TransientRows = opts.transientRows && node.Batch > 1
+		s.TransientRows = transient && node.Batch > 1
 		return s, nil
 
 	case *plan.GatherNode:
@@ -177,7 +181,9 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator,
 		if need && !dollar && node.Batch > 1 {
 			leaf = deferrableLeaf(node.Child)
 		}
-		child, err := compile(node.Child, env, childBatchOpts(opts, node.Batch), dollar || (need && leaf == nil))
+		copts := childBatchOpts(opts, node.Batch)
+		copts.transientRows = transient && node.Batch > 1
+		child, err := compile(node.Child, env, copts, dollar || (need && leaf == nil))
 		if err != nil {
 			return nil, err
 		}
@@ -189,7 +195,9 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator,
 		return f, nil
 
 	case *plan.SummarySelect:
-		child, err := compile(node.Child, env, childBatchOpts(opts, node.Batch), true)
+		copts := childBatchOpts(opts, node.Batch)
+		copts.transientRows = transient && node.Batch > 1
+		child, err := compile(node.Child, env, copts, true)
 		if err != nil {
 			return nil, err
 		}
@@ -312,9 +320,7 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator,
 
 	case *plan.ProjectNode:
 		// A batched projection copies each input row's values, OID and
-		// summary references into rows of its own, so the segment below
-		// it (pass-through filters and limits over the scan leaf) never
-		// hands its scan rows past this batch.
+		// summary references into rows of its own.
 		copts := childBatchOpts(opts, node.Batch)
 		copts.transientRows = node.Batch > 1
 		child, err := compile(node.Child, env, copts, need || usesDollar(node.Exprs...))
@@ -333,7 +339,9 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator,
 		return exec.NewDistinct(child, env.Lookup), nil
 
 	case *plan.LimitNode:
-		child, err := compile(node.Child, env, childBatchOpts(opts, node.Batch), need)
+		copts := childBatchOpts(opts, node.Batch)
+		copts.transientRows = transient && node.Batch > 1
+		child, err := compile(node.Child, env, copts, need)
 		if err != nil {
 			return nil, err
 		}

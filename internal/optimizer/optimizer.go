@@ -91,10 +91,11 @@ type Options struct {
 	// parent that will drive it through NextBatch, so the compiler must
 	// not cap it with a batch-to-row shim. Internal to the compiler.
 	batchParent bool
-	// transientRows marks that a batched Project above, within the same
-	// segment, copies out everything it keeps from its input rows, so a
-	// scan leaf's rows never outlive the next batch and their storage
-	// may be recycled. Internal to the compiler.
+	// transientRows marks that a batched Project above, reached through
+	// batched filters and limits only, copies out everything it keeps
+	// from its input rows, so a scan leaf's rows never outlive the next
+	// batch. compileNode clears it for every other operator. Internal to
+	// the compiler.
 	transientRows bool
 }
 

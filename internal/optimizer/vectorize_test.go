@@ -2,9 +2,11 @@ package optimizer
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/exec"
 	"repro/internal/model"
 	"repro/internal/plan"
 	"repro/internal/sql"
@@ -56,6 +58,90 @@ func TestVectorizeLimitBound(t *testing.T) {
 		rw.vectorize(tc.root(scan))
 		if got := fmt.Sprintf("%d/%d", scan.Batch, scan.BatchStart); got != tc.want {
 			t.Errorf("%s: scan marked %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestCompileTransientRowsOnlyUnderProject pins which scans recycle
+// their row storage: only a batched scan whose rows reach a batched
+// Project through batched filters and limits alone, since the Project
+// copies what it keeps. A sort between them, no Project at all, or row
+// mode leaves the scan allocating fresh rows per batch.
+func TestCompileTransientRowsOnlyUnderProject(t *testing.T) {
+	tbl, err := catalog.New(nil, 8).CreateTable("R", model.NewSchema("",
+		model.Column{Name: "a", Kind: model.KindInt}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := sql.ParseExpr("r.a > 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	project := func(c plan.Node) plan.Node { return &plan.ProjectNode{Child: c, Out: c.Schema()} }
+	limit := func(n int, c plan.Node) plan.Node { return &plan.LimitNode{Child: c, N: n} }
+	sort := func(c plan.Node) plan.Node { return &plan.SortNode{Child: c} }
+	filter := func(c plan.Node) plan.Node { return &plan.Select{Child: c, Pred: pred} }
+	for _, tc := range []struct {
+		name  string
+		batch int
+		root  func(scan plan.Node) plan.Node
+		want  bool
+	}{
+		{"project over scan", 1024, func(s plan.Node) plan.Node { return project(s) }, true},
+		{"project over filters", 1024, func(s plan.Node) plan.Node { return project(filter(filter(s))) }, true},
+		{"project over summary select", 1024, func(s plan.Node) plan.Node {
+			return project(&plan.SummarySelect{Child: filter(s), Pred: pred})
+		}, true},
+		{"limit over project", 1024, func(s plan.Node) plan.Node { return limit(50, project(filter(s))) }, true},
+		{"project over sort", 1024, func(s plan.Node) plan.Node { return project(sort(filter(s))) }, false},
+		// vectorize never batches a Project over a sort; the compiler
+		// must still not pass the promise through one.
+		{"batched project over sort", 1024, func(s plan.Node) plan.Node {
+			return &plan.ProjectNode{Child: sort(filter(s)), Out: s.Schema(), Batch: 1024}
+		}, false},
+		{"no project", 1024, func(s plan.Node) plan.Node { return limit(50, filter(s)) }, false},
+		{"row mode", 1, func(s plan.Node) plan.Node { return project(filter(s)) }, false},
+	} {
+		scan := plan.NewScan(tbl, "r")
+		root := tc.root(scan)
+		(&rewriter{opts: Options{MaxBatchSize: tc.batch}}).vectorize(root)
+		it, err := Compile(root, &Env{}, Options{MaxBatchSize: tc.batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scans := map[uintptr]bool{}
+		findScans(reflect.ValueOf(it), scans)
+		var got []bool
+		for _, tr := range scans {
+			got = append(got, tr)
+		}
+		if len(got) != 1 || got[0] != tc.want {
+			t.Errorf("%s: scan TransientRows %v, want [%v]", tc.name, got, tc.want)
+		}
+	}
+}
+
+// findScans records the TransientRows flag of every SeqScan in an
+// operator tree, keyed by scan, following the operators' Iterator and
+// BatchOperator fields (an operator may hold its input under both).
+func findScans(v reflect.Value, out map[uintptr]bool) {
+	switch v.Kind() {
+	case reflect.Interface:
+		findScans(v.Elem(), out)
+	case reflect.Pointer:
+		if v.IsNil() {
+			return
+		}
+		if v.Type() == reflect.TypeOf((*exec.SeqScan)(nil)) {
+			out[v.Pointer()] = v.Elem().FieldByName("TransientRows").Bool()
+			return
+		}
+		findScans(v.Elem(), out)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Interface {
+				findScans(f, out)
+			}
 		}
 	}
 }
