@@ -41,9 +41,10 @@ type Config struct {
 	MaxParallelWorkers int
 	// MaxBatchSize is the default row-batch capacity for vectorized
 	// pipeline segments (see optimizer.Options.MaxBatchSize). 0 means
-	// exec.DefaultBatchSize (1024); 1 plans pure row-at-a-time queries,
-	// byte-identical to the pre-vectorized engine. Queries can override
-	// it per statement through their optimizer options.
+	// exec.DefaultBatchSize (1024); 1 means batches of one, with the
+	// plans, EXPLAIN output and results of the row-at-a-time engine.
+	// Queries can override it per statement through their optimizer
+	// options.
 	MaxBatchSize int
 	// Faults installs a deterministic pager fault-injection policy on
 	// the database's I/O accountant (testing/chaos harnesses only).
@@ -298,7 +299,7 @@ func (db *DB) SetMaxParallelWorkers(n int) { db.maxParallel.Store(int64(n)) }
 func (db *DB) MaxParallelWorkers() int { return int(db.maxParallel.Load()) }
 
 // SetMaxBatchSize changes the default vectorized-batch capacity (0 =
-// exec.DefaultBatchSize, 1 = row-at-a-time plans). Safe to call while
+// exec.DefaultBatchSize, 1 = batches of one). Safe to call while
 // queries are running; each query snapshots the size at planning time.
 func (db *DB) SetMaxBatchSize(n int) {
 	if n == 0 {

@@ -6,16 +6,17 @@ import (
 	"repro/internal/model"
 )
 
-// This file is the vectorized (batch-at-a-time) execution layer: the
-// Batch row-vector container, the BatchOperator protocol, and the
-// adapter shims that let batched pipeline segments coexist with the
-// row-at-a-time Volcano operators. The optimizer's vectorize pass marks
-// contiguous streaming segments (scan → filter → project chains); the
-// compiler lowers marked operators with a batch size and caps each
-// segment with a batchToRow shim, so everything above — sorts, joins,
-// aggregation, the parallel Gather exchange — keeps speaking rows and
-// stays byte-identical. With MaxBatchSize <= 1 no segment is marked and
-// the executor runs exactly as before.
+// This file is the batch protocol of the streaming operators: the Batch
+// row-vector container, the BatchOperator interface, and the two shims
+// between it and the row-at-a-time Volcano operators. Scans, filters
+// (σ, S and F), projections (π and the summary-effect projection) and
+// LIMIT produce batches only. The optimizer's vectorize pass marks
+// contiguous streaming segments (scan → filter → project chains) with
+// a batch size; everything else — unmarked streaming operators, and
+// every operator under MaxBatchSize 1 — runs as batches of one. Sorts,
+// joins, aggregation, Distinct, the parallel Gather exchange and result
+// collection keep speaking rows and read a batch operator through
+// batchToRow; a batch operator reads a row operator through rowToBatch.
 
 // DefaultBatchSize is the row capacity of one exchange batch: large
 // enough to amortize per-call overhead (interface dispatch, recoverOp
@@ -32,11 +33,9 @@ const MaxBatchSize = 65536
 type batchGrowth struct{ next int }
 
 // size returns the row count of the next batch for a scan of the given
-// capacity (<= 1: DefaultBatchSize).
+// capacity (<= 1: batches of one).
 func (g *batchGrowth) size(capacity int) int {
-	if capacity <= 1 {
-		capacity = DefaultBatchSize
-	}
+	capacity = max(capacity, 1)
 	if g.next <= 0 || g.next >= capacity {
 		return capacity
 	}
@@ -65,6 +64,13 @@ type Batch struct {
 	// so filtering a pooled batch allocates no selection vector in
 	// steady state.
 	selStore []int32
+	// used is the longest rows has been since the container was last
+	// cleared: the prefix that may hold row references after LIMIT or
+	// a transformation shortened rows.
+	used int
+	// operands is compareBatch's scratch: two value pointers per live
+	// row, kept with the pooled container and cleared on Release.
+	operands []*model.Value
 }
 
 // batchPool recycles batch containers (the rows and sel slices). Row
@@ -91,17 +97,18 @@ func GetBatch(capacity int) *Batch {
 
 // Release clears the container and returns it to the pool. The caller
 // must not use the batch afterwards; rows previously handed out remain
-// valid.
+// valid. Only the used prefix is cleared, so a large pooled container
+// carrying a batch of one costs one store, not its capacity.
 func (b *Batch) Release() {
 	if b == nil {
 		return
 	}
-	rows := b.rows[:cap(b.rows)]
-	for i := range rows {
-		rows[i] = nil // drop row references so the pool retains no rows
-	}
+	clear(b.rows[:b.used]) // the pool retains no rows
+	clear(b.operands)
 	b.rows = b.rows[:0]
+	b.operands = b.operands[:0]
 	b.sel = nil
+	b.used = 0
 	batchPool.Put(b)
 }
 
@@ -129,13 +136,7 @@ func (b *Batch) Append(r *Row) {
 		panic("exec: Append on a batch with a selection vector")
 	}
 	b.rows = append(b.rows, r)
-}
-
-// Reset empties the batch (dropping any selection) so a transforming
-// operator can refill the same container with its outputs.
-func (b *Batch) Reset() {
-	b.rows = b.rows[:0]
-	b.sel = nil
+	b.used = max(b.used, len(b.rows))
 }
 
 // selStorage returns an empty selection vector with capacity for n
@@ -145,6 +146,16 @@ func (b *Batch) selStorage(n int) []int32 {
 		b.selStore = make([]int32, 0, n)
 	}
 	return b.selStore[:0]
+}
+
+// operandScratch returns two empty vectors of n value pointers each,
+// reusing the batch's backing array.
+func (b *Batch) operandScratch(n int) (l, r []*model.Value) {
+	if cap(b.operands) < 2*n {
+		b.operands = make([]*model.Value, 2*n)
+	}
+	b.operands = b.operands[:max(len(b.operands), 2*n)]
+	return b.operands[:n:n], b.operands[n : 2*n : 2*n]
 }
 
 // liveSel returns the live physical row indices, first installing the
@@ -193,77 +204,30 @@ func transformBatch(b *Batch, fn func(*Row) *Row) {
 	b.sel = nil
 }
 
-// BatchOperator extends the Volcano protocol with batch-at-a-time
-// production. Open, Close, and Schema are shared with the row
-// interface; during one execution an operator is driven through exactly
-// one of Next or NextBatch, never both. A nil batch means end-of-stream
-// (mirroring the nil row). Converted operators poll cancellation once
-// per batch instead of per row, so a cancelled query stops within one
-// batch boundary.
+// BatchOperator is the batch protocol: Open, a stream of NextBatch
+// calls returning a nil batch at end-of-stream, and Close. Batch
+// operators poll cancellation once per tickEvery rows through their
+// leaf (a scan or rowToBatch), so a cancelled query stops within one
+// batch boundary, or within tickEvery rows for small batches.
 type BatchOperator interface {
-	Iterator
+	Operator
 	NextBatch(qc *QueryCtx) (*Batch, error)
 }
 
-// batchNative reports whether it produces batches natively in this
-// execution — i.e. the compiler lowered it with a batch size — reaching
-// through the stats decorator, whose NextBatch delegates. The static
-// interface check is not enough: every converted operator has a
-// NextBatch method whether or not this plan runs it in batch mode.
-func batchNative(it Iterator) bool {
-	switch op := it.(type) {
-	case *statsIter:
-		return batchNative(op.child)
-	case *SeqScan:
-		return op.BatchSize > 1
-	case *SummaryIndexScan:
-		return op.BatchSize > 1
-	case *PredicateFilter:
-		return op.BatchSize > 1
-	case *SummaryFilter:
-		return op.BatchSize > 1
-	case *SummaryEffectProject:
-		return op.BatchSize > 1
-	case *Project:
-		return op.BatchSize > 1
-	case *Limit:
-		return op.BatchSize > 1
-	case *rowToBatch:
-		return true
-	}
-	return false
-}
-
-// ToBatch returns an operator's batch interface: a batch-native input
-// is used directly, anything else is bridged through a rowToBatch shim
-// filling batches of up to size rows. Callers manage the underlying
-// iterator's Open/Close themselves (the shims forward but converted
-// operators already drive their input's lifecycle).
-func ToBatch(it Iterator, size int) BatchOperator {
-	if batchNative(it) {
-		if bo, ok := it.(BatchOperator); ok {
-			return bo
-		}
-	}
-	return &rowToBatch{input: it, size: size}
-}
-
-// rowToBatch adapts a row iterator to the batch protocol (the upward
-// shim): each NextBatch drains up to size rows. The compiler's marked
-// segments are contiguous so they never need it at runtime, but
-// hand-built operator trees and tests do, and it keeps ToBatch total.
+// rowToBatch adapts a row iterator to the batch protocol: each
+// NextBatch drains up to size rows. It is how a batch operator reads a
+// row-only input — an unmarked projection or LIMIT above a sort, join
+// or aggregate, at one row per batch.
 type rowToBatch struct {
 	input Iterator
 	size  int
 	qc    *QueryCtx
 }
 
-// NewRowToBatch bridges a row iterator into a batch producer.
+// NewRowToBatch bridges a row iterator into a batch producer filling
+// batches of up to size rows (<= 1: batches of one).
 func NewRowToBatch(it Iterator, size int) BatchOperator {
-	if size <= 1 {
-		size = DefaultBatchSize
-	}
-	return &rowToBatch{input: it, size: size}
+	return &rowToBatch{input: it, size: max(size, 1)}
 }
 
 // SetContext installs the per-query lifecycle and forwards it below.
@@ -275,13 +239,9 @@ func (a *rowToBatch) SetContext(qc *QueryCtx) {
 // Open opens the input.
 func (a *rowToBatch) Open() error { return a.input.Open() }
 
-// Next forwards the row protocol (the shim is also a plain iterator).
-func (a *rowToBatch) Next() (*Row, error) { return a.input.Next() }
-
-// NextBatch drains up to size rows from the input. Cancellation is
-// polled once per batch.
+// NextBatch drains up to size rows from the input.
 func (a *rowToBatch) NextBatch(qc *QueryCtx) (*Batch, error) {
-	if err := qc.check(); err != nil {
+	if err := qc.tickRows(a.size); err != nil {
 		return nil, err
 	}
 	b := GetBatch(a.size)
@@ -309,36 +269,23 @@ func (a *rowToBatch) Close() error { return a.input.Close() }
 // Schema returns the input schema.
 func (a *rowToBatch) Schema() *model.Schema { return a.input.Schema() }
 
-// batchToRow adapts a batched pipeline segment back to the row
-// protocol — the shim the compiler places at each marked segment's top
-// so row-at-a-time consumers (sorts, joins, aggregation, Gather
-// workers, result collection) are oblivious to the batching below. It
+// batchToRow adapts a batch operator to the row protocol — how
+// row-at-a-time consumers (sorts, joins, aggregation, Distinct, Gather
+// workers, result collection) read a streaming segment. It
 // deliberately does not tick the query context per row: the producers
-// below poll once per batch, which bounds cancellation latency to one
-// batch, and the consumers above keep their own per-row ticks.
+// below poll per batch, and the consumers above keep their own per-row
+// ticks.
 type batchToRow struct {
-	input Iterator
-	bo    BatchOperator
+	input BatchOperator
 	qc    *QueryCtx
 
 	cur *Batch
 	pos int
 }
 
-// NewBatchToRow caps a batch-producing segment with a row interface.
-// An input that is not batch-native in this execution is returned
-// unchanged (defensive identity): the static interface check is not
-// enough, because converted operators carry NextBatch methods even when
-// lowered in row mode.
-func NewBatchToRow(it Iterator) Iterator {
-	if !batchNative(it) {
-		return it
-	}
-	bo, ok := it.(BatchOperator)
-	if !ok {
-		return it
-	}
-	return &batchToRow{input: it, bo: bo}
+// NewBatchToRow caps a batch operator with a row interface.
+func NewBatchToRow(bo BatchOperator) Iterator {
+	return &batchToRow{input: bo}
 }
 
 // SetContext installs the per-query lifecycle and forwards it below.
@@ -365,7 +312,7 @@ func (a *batchToRow) Next() (*Row, error) {
 			}
 			a.drop()
 		}
-		b, err := a.bo.NextBatch(a.qc)
+		b, err := a.input.NextBatch(a.qc)
 		if err != nil {
 			return nil, err
 		}

@@ -51,6 +51,60 @@ func TestBatchSelectionAndTruncate(t *testing.T) {
 		t.Fatalf("pooled batch not clean: len=%d sel=%v", b2.Len(), b2.sel)
 	}
 	b2.Release()
+
+	// LIMIT, transformations and a batch filter shorten a container or
+	// fill its scratch; Release must still drop every reference it
+	// ever held, not just the live prefix.
+	schema, _ := intRows(0)
+	gt2 := (&Evaluator{Schema: schema}).BindBatchPred(mustExpr(t, "v > 2"))
+	for _, c := range []struct {
+		name   string
+		shrink func(*Batch)
+	}{
+		{"truncate", func(b *Batch) { b.Truncate(1) }},
+		{"transform", func(b *Batch) {
+			b.sel = append(b.selStorage(2), 1, 3)
+			transformBatch(b, func(r *Row) *Row { return r })
+		}},
+		{"filter", func(b *Batch) {
+			if err := gt2(b); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		b := GetBatch(8)
+		for _, r := range rows {
+			b.Append(r)
+		}
+		c.shrink(b)
+		b.Release()
+		for i, r := range b.rows[:cap(b.rows)] {
+			if r != nil {
+				t.Fatalf("%s: released container still holds row slot %d", c.name, i)
+			}
+		}
+		for i, v := range b.operands[:cap(b.operands)] {
+			if v != nil {
+				t.Fatalf("%s: released container still holds operand %d", c.name, i)
+			}
+		}
+	}
+}
+
+// TestStreamingOperatorsAreBatchOnly pins the one execution path of the
+// streaming operators: each produces batches only, so row consumers
+// must read it through batchToRow and nothing can drive a second,
+// row-at-a-time body.
+func TestStreamingOperatorsAreBatchOnly(t *testing.T) {
+	for _, op := range []any{&SeqScan{}, &SummaryIndexScan{}, &PredicateFilter{},
+		&SummaryFilter{}, &Project{}, &SummaryEffectProject{}, &Limit{}} {
+		if _, ok := op.(BatchOperator); !ok {
+			t.Errorf("%T does not produce batches", op)
+		}
+		if _, ok := op.(Iterator); ok {
+			t.Errorf("%T still implements the row protocol", op)
+		}
+	}
 }
 
 func TestTransformBatchConsumesSelection(t *testing.T) {
@@ -97,19 +151,16 @@ func TestBatchRoundTripPreservesRows(t *testing.T) {
 	}
 }
 
-// TestVectorizedFilterProjectLimitMatchesRowMode drives the converted
-// streaming operators through their batch protocol and checks the
-// output against the row-at-a-time execution of the same tree.
+// TestVectorizedFilterProjectLimitMatchesRowMode drives the streaming
+// operators over batches of several sizes and checks the output against
+// batches of one, the row-at-a-time execution of the same tree.
 func TestVectorizedFilterProjectLimitMatchesRowMode(t *testing.T) {
 	out := model.NewSchema("", model.Column{Name: "v", Kind: model.KindInt})
 	build := func(batch int) Iterator {
 		schema, rows := intRows(100)
-		f := NewFilter(NewSliceIter(schema, rows), mustExpr(t, "v > 20"), nil)
-		f.BatchSize = batch
+		f := NewFilter(NewRowToBatch(NewSliceIter(schema, rows), batch), mustExpr(t, "v > 20"), nil)
 		p := NewProject(f, []sql.Expr{mustExpr(t, "v")}, out, nil)
-		p.BatchSize = batch
 		l := NewLimit(p, 30)
-		l.BatchSize = batch
 		return NewBatchToRow(l)
 	}
 	want, err := Collect(build(0))
@@ -173,8 +224,7 @@ func TestMidBatchCancellationStopsWithinOneBatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	src := &cancelAfterIter{schema: schema, rows: rows, k: cancelAt, cancel: cancel}
-	f := NewFilter(src, mustExpr(t, "v > 0"), nil)
-	f.BatchSize = batch
+	f := NewFilter(NewRowToBatch(src, batch), mustExpr(t, "v > 0"), nil)
 	it := NewBatchToRow(f)
 	SetIterContext(it, NewQueryCtx(ctx, nil))
 
@@ -198,6 +248,44 @@ func TestMidBatchCancellationStopsWithinOneBatch(t *testing.T) {
 	if delivered > batch {
 		t.Fatalf("cancel at row %d leaked past one batch boundary: %d rows delivered (batch=%d)",
 			cancelAt, delivered, batch)
+	}
+}
+
+// TestBatchOfOneCancellationStopsWithinTickEvery is the batch-of-one
+// counterpart of the test above: a MaxBatchSize 1 shaped chain polls
+// through its rowToBatch leaf once per tickEvery rows, exactly as often
+// as a per-row tick, so a mid-stream cancel stops it within tickEvery
+// rows.
+func TestBatchOfOneCancellationStopsWithinTickEvery(t *testing.T) {
+	const total, cancelAt = 500, 10
+	schema, rows := intRows(total)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := &cancelAfterIter{schema: schema, rows: rows, k: cancelAt, cancel: cancel}
+	out := model.NewSchema("", model.Column{Name: "v", Kind: model.KindInt})
+	it := NewBatchToRow(NewLimit(NewProject(NewFilter(NewRowToBatch(src, 1), mustExpr(t, "v > 0"), nil),
+		[]sql.Expr{mustExpr(t, "v")}, out, nil), total))
+	SetIterContext(it, NewQueryCtx(ctx, nil))
+	if err := it.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	delivered := 0
+	var err error
+	for {
+		var r *Row
+		r, err = it.Next()
+		if r == nil || err != nil {
+			break
+		}
+		delivered++
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v (delivered %d rows)", err, delivered)
+	}
+	if delivered > tickEvery {
+		t.Fatalf("cancel at row %d leaked %d rows, more than one poll interval (%d)",
+			cancelAt, delivered, tickEvery)
 	}
 }
 
@@ -237,7 +325,7 @@ func TestScanBatchGrowth(t *testing.T) {
 // propagating scan would have, in both execution modes.
 func TestFilterAttachesSummariesToPassingRows(t *testing.T) {
 	f := newOpsFixture(t, 30, 0)
-	want, err := Collect(NewFilter(NewSeqScan(f.r, "r", true), mustExpr(t, "r.a > 10 AND r.a < 25"), nil))
+	want, err := Collect(NewBatchToRow(NewFilter(NewSeqScan(f.r, "r", true), mustExpr(t, "r.a > 10 AND r.a < 25"), nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +333,6 @@ func TestFilterAttachesSummariesToPassingRows(t *testing.T) {
 		scan := NewSeqScan(f.r, "r", false)
 		scan.BatchSize = batch
 		filt := NewFilter(scan, mustExpr(t, "r.a > 10 AND r.a < 25"), nil)
-		filt.BatchSize = batch
 		filt.AttachFrom, filt.AttachAlias = f.r, "r"
 		got, err := Collect(NewBatchToRow(filt))
 		if err != nil {

@@ -161,10 +161,8 @@ func (ev *Evaluator) BindPred(e sql.Expr) boundPred {
 				return rp(row)
 			}
 		default:
-			if n.Op.IsComparison() && n.Op != sql.OpLike {
-				if p := ev.bindComparePred(n); p != nil {
-					return p
-				}
+			if p := ev.bindComparePred(n); p != nil {
+				return p
 			}
 		}
 	}
@@ -185,33 +183,55 @@ func (ev *Evaluator) BindPred(e sql.Expr) boundPred {
 // conjunct. Returns nil when an operand is any other shape (caller
 // falls back to the generic bound path).
 func (ev *Evaluator) bindComparePred(n *sql.Binary) boundPred {
-	lg := ev.bindValueRef(n.L)
-	rg := ev.bindValueRef(n.R)
-	if lg == nil || rg == nil {
+	l, r, ok := ev.bindOperands(n)
+	if !ok {
 		return nil
 	}
 	op := n.Op
-	return func(row *Row) (bool, error) { return compareValues(op, lg(row), rg(row)) }
+	return func(row *Row) (bool, error) { return compareValues(op, l.value(row), r.value(row)) }
 }
 
-// bindValueRef resolves a simple operand — column reference or literal
-// — to a pointer-returning accessor, so the comparison reads values in
-// place instead of copying them through closure returns. Any other
-// shape (or an unresolvable column, which must keep its per-row error)
-// returns nil.
-func (ev *Evaluator) bindValueRef(e sql.Expr) func(*Row) *model.Value {
+// operand is a simple comparison side resolved at bind time: column col
+// of the row, or the constant lit when col < 0.
+type operand struct {
+	col int
+	lit model.Value
+}
+
+// value returns the operand's value in place.
+func (o *operand) value(row *Row) *model.Value {
+	if o.col < 0 {
+		return &o.lit
+	}
+	return &row.Tuple.Values[o.col]
+}
+
+// bindOperands resolves both sides of a comparison other than LIKE when
+// each is a column reference or a literal, so the comparison reads
+// values in place instead of copying them through closure returns. Any
+// other shape (or an unresolvable column, which must keep its per-row
+// error) reports false.
+func (ev *Evaluator) bindOperands(n *sql.Binary) (l, r *operand, ok bool) {
+	if !n.Op.IsComparison() || n.Op == sql.OpLike {
+		return nil, nil, false
+	}
+	if l, ok = ev.bindOperand(n.L); ok {
+		r, ok = ev.bindOperand(n.R)
+	}
+	return l, r, ok
+}
+
+// bindOperand resolves one side of a comparison for bindOperands.
+func (ev *Evaluator) bindOperand(e sql.Expr) (*operand, bool) {
 	switch n := e.(type) {
 	case *sql.Literal:
-		v := n.Value
-		return func(*Row) *model.Value { return &v }
+		return &operand{col: -1, lit: n.Value}, true
 	case *sql.ColumnRef:
-		i, err := ev.Schema.ColIndex(n.Qualifier, n.Name)
-		if err != nil {
-			return nil
+		if i, err := ev.Schema.ColIndex(n.Qualifier, n.Name); err == nil {
+			return &operand{col: i}, true
 		}
-		return func(row *Row) *model.Value { return &row.Tuple.Values[i] }
 	}
-	return nil
+	return nil, false
 }
 
 // batchPred is the batch specialization of boundPred: it filters a
@@ -220,15 +240,16 @@ type batchPred func(b *Batch) error
 
 // BindBatchPred compiles a predicate for a batched filter. A
 // conjunction applies its conjuncts one after the other, each over the
-// rows the ones before it kept, so every conjunct runs as one loop over
-// the batch instead of a closure chain per row; anything else filters
-// through BindPred. It keeps exactly the rows BindPred keeps and fails
-// whenever BindPred fails on some row of the batch, but when two
-// conjuncts fail on different rows it may report the other conjunct's
-// error, since it finishes one conjunct over the batch before starting
-// the next.
+// rows the ones before it kept, and a comparison of column references
+// and literals runs as one loop over the batch with no closure call per
+// row; anything else filters through BindPred. It keeps exactly the
+// rows BindPred keeps and fails whenever BindPred fails on some row of
+// the batch, but when two conjuncts fail on different rows it may
+// report the other conjunct's error, since it finishes one conjunct
+// over the batch before starting the next.
 func (ev *Evaluator) BindBatchPred(e sql.Expr) batchPred {
-	if n, ok := e.(*sql.Binary); ok && n.Op == sql.OpAnd {
+	n, _ := e.(*sql.Binary)
+	if n != nil && n.Op == sql.OpAnd {
 		lp, rp := ev.BindBatchPred(n.L), ev.BindBatchPred(n.R)
 		return func(b *Batch) error {
 			if err := lp(b); err != nil || b.Len() == 0 {
@@ -237,8 +258,48 @@ func (ev *Evaluator) BindBatchPred(e sql.Expr) batchPred {
 			return rp(b)
 		}
 	}
+	if n != nil {
+		if l, r, ok := ev.bindOperands(n); ok {
+			op := n.Op
+			return func(b *Batch) error { return compareBatch(b, op, l, r) }
+		}
+	}
 	pred := ev.BindPred(e)
 	return func(b *Batch) error { return FilterBatch(pred, b) }
+}
+
+// compareBatch keeps the live rows of b for which "l op r" holds. It
+// makes two passes: the first gathers both operands' value pointers,
+// which touches only the rows' headers, and the second compares them in
+// one tight loop, so the cache misses on consecutive rows' values
+// overlap instead of each one stalling the loop in turn.
+func compareBatch(b *Batch, op sql.BinaryOp, l, r *operand) error {
+	sel := b.liveSel()
+	lv, rv := b.operandScratch(len(sel))
+	for k, phys := range sel {
+		row := b.rows[phys]
+		lv[k], rv[k] = l.value(row), r.value(row)
+	}
+	kept := 0
+	for k, phys := range sel {
+		var ok bool
+		if lv[k].Kind == model.KindInt && rv[k].Kind == model.KindInt {
+			ok = compareInts(op, lv[k].Int, rv[k].Int)
+		} else {
+			var err error
+			if ok, err = compareValues(op, lv[k], rv[k]); err != nil {
+				return err
+			}
+		}
+		// Write unconditionally and advance on a match: no branch on
+		// the outcome, which is as unpredictable as the data.
+		sel[kept] = phys
+		if ok {
+			kept++
+		}
+	}
+	b.sel = sel[:kept]
+	return nil
 }
 
 // FilterBatch evaluates a bound predicate over every live row of b and

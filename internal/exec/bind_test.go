@@ -27,7 +27,7 @@ func TestBindErrorsAreLazy(t *testing.T) {
 	}{
 		{"Project", func(in func() Iterator, e sql.Expr) Iterator {
 			out := model.NewSchema("", model.Column{Name: "x", Kind: model.KindInt})
-			return NewProject(in(), []sql.Expr{e}, out, nil)
+			return NewBatchToRow(NewProject(NewRowToBatch(in(), 1), []sql.Expr{e}, out, nil))
 		}},
 		{"Sort", func(in func() Iterator, e sql.Expr) Iterator {
 			return NewSort(in(), []SortKey{{Expr: e}}, nil)

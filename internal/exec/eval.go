@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"strings"
@@ -147,7 +146,7 @@ func compareValues(op sql.BinaryOp, l, r *model.Value) (bool, error) {
 	var c int
 	switch {
 	case l.Kind == model.KindInt && r.Kind == model.KindInt:
-		c = cmp.Compare(l.Int, r.Int)
+		return compareInts(op, l.Int, r.Int), nil
 	case l.Kind == model.KindText && r.Kind == model.KindText:
 		c = strings.Compare(l.Text, r.Text)
 	default:
@@ -159,24 +158,36 @@ func compareValues(op sql.BinaryOp, l, r *model.Value) (bool, error) {
 	return compareHolds(op, c), nil
 }
 
-// compareHolds reports whether a three-way comparison result c
-// satisfies a comparison operator other than LIKE.
-func compareHolds(op sql.BinaryOp, c int) bool {
-	switch op {
-	case sql.OpEq:
-		return c == 0
-	case sql.OpNe:
-		return c != 0
-	case sql.OpLt:
-		return c < 0
-	case sql.OpLe:
-		return c <= 0
-	case sql.OpGt:
-		return c > 0
-	case sql.OpGe:
-		return c >= 0
+// compareInts decides a comparison other than LIKE of two integers.
+// It inlines, so batch compare loops pay no call per row.
+func compareInts(op sql.BinaryOp, a, b int64) bool {
+	c := 0
+	if a < b {
+		c = -1
 	}
-	return false
+	if a > b {
+		c = 1
+	}
+	return compareHolds(op, c)
+}
+
+// compareHolds reports whether a three-way comparison result c (-1, 0
+// or 1) satisfies a comparison operator other than LIKE. It is a table
+// lookup rather than a switch so that compare loops carry no branch on
+// the outcome.
+func compareHolds(op sql.BinaryOp, c int) bool {
+	return uint(op) < uint(len(holdMasks)) && holdMasks[op]>>(c+1)&1 != 0
+}
+
+// holdMasks has bit c+1 of an operator's entry set when the comparison
+// result c satisfies it; no other operator holds for any result.
+var holdMasks = [...]uint8{
+	sql.OpEq: 0b010,
+	sql.OpNe: 0b101,
+	sql.OpLt: 0b001,
+	sql.OpLe: 0b011,
+	sql.OpGt: 0b100,
+	sql.OpGe: 0b110,
 }
 
 // boundSummary evaluates a $ reference or a method chain; its result

@@ -16,14 +16,11 @@ import (
 // the distinction lives in the logical plan where the rewrite rules need
 // it.
 type PredicateFilter struct {
-	Input Iterator
+	Input BatchOperator
 	Pred  sql.Expr
 	// Summary marks this node as the S operator (for EXPLAIN output).
 	Summary bool
 	Lookup  model.AnnotationLookup
-	// BatchSize > 1 means the compiler drives this filter through
-	// NextBatch; Next() is unaffected either way.
-	BatchSize int
 	// AttachFrom, when set, is the table of the scan below, compiled
 	// without propagation: this filter attaches the summary sets (under
 	// AttachAlias) to the rows that pass it, so rows the data-only
@@ -31,19 +28,17 @@ type PredicateFilter struct {
 	AttachFrom  *catalog.Table
 	AttachAlias string
 
-	bin   BatchOperator
-	pred  boundPred
-	bpred batchPred
-	qc    *QueryCtx
+	pred batchPred
+	qc   *QueryCtx
 }
 
 // NewFilter builds a σ node.
-func NewFilter(in Iterator, pred sql.Expr, lookup model.AnnotationLookup) *PredicateFilter {
+func NewFilter(in BatchOperator, pred sql.Expr, lookup model.AnnotationLookup) *PredicateFilter {
 	return &PredicateFilter{Input: in, Pred: pred, Lookup: lookup}
 }
 
 // NewSummarySelect builds an S node.
-func NewSummarySelect(in Iterator, pred sql.Expr, lookup model.AnnotationLookup) *PredicateFilter {
+func NewSummarySelect(in BatchOperator, pred sql.Expr, lookup model.AnnotationLookup) *PredicateFilter {
 	return &PredicateFilter{Input: in, Pred: pred, Summary: true, Lookup: lookup}
 }
 
@@ -56,32 +51,8 @@ func (f *PredicateFilter) SetContext(qc *QueryCtx) {
 // Open binds the predicate and opens the input.
 func (f *PredicateFilter) Open() (err error) {
 	defer recoverOp("Filter", &err)
-	ev := &Evaluator{Schema: f.Input.Schema(), Lookup: f.Lookup}
-	f.pred = ev.BindPred(f.Pred)
-	if f.BatchSize > 1 {
-		f.bin = ToBatch(f.Input, f.BatchSize)
-		f.bpred = ev.BindBatchPred(f.Pred)
-	}
+	f.pred = (&Evaluator{Schema: f.Input.Schema(), Lookup: f.Lookup}).BindBatchPred(f.Pred)
 	return f.Input.Open()
-}
-
-// Next returns the next qualifying row.
-func (f *PredicateFilter) Next() (row *Row, err error) {
-	defer recoverOp("Filter", &err)
-	for {
-		row, err := f.Input.Next()
-		if err != nil || row == nil {
-			return nil, err
-		}
-		ok, err := f.pred(row)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			f.attach(row)
-			return row, nil
-		}
-	}
 }
 
 // attach gives a passing row its summary sets when the filter took the
@@ -100,11 +71,11 @@ func (f *PredicateFilter) attach(row *Row) {
 func (f *PredicateFilter) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("Filter", &err)
 	for {
-		b, err := f.bin.NextBatch(qc)
+		b, err := f.Input.NextBatch(qc)
 		if err != nil || b == nil {
 			return nil, err
 		}
-		if err := f.bpred(b); err != nil {
+		if err := f.pred(b); err != nil {
 			b.Release()
 			return nil, err
 		}
@@ -128,17 +99,13 @@ func (f *PredicateFilter) Schema() *model.Schema { return f.Input.Schema() }
 // passes, but only its summary objects satisfying the structural
 // predicate — instance-name or summary-type membership — are kept.
 type SummaryFilter struct {
-	Input Iterator
+	Input BatchOperator
 	// Instances keeps objects whose InstanceID is listed (empty = any).
 	Instances []string
 	// Types keeps objects whose type is listed (empty = any).
 	Types []model.SummaryType
-	// BatchSize > 1 means the compiler drives this filter through
-	// NextBatch; Next() is unaffected either way.
-	BatchSize int
 
-	bin BatchOperator
-	qc  *QueryCtx
+	qc *QueryCtx
 }
 
 // SetContext installs the per-query lifecycle and forwards it below.
@@ -148,7 +115,7 @@ func (f *SummaryFilter) SetContext(qc *QueryCtx) {
 }
 
 // NewSummaryFilter builds an F node.
-func NewSummaryFilter(in Iterator, instances []string, types []model.SummaryType) *SummaryFilter {
+func NewSummaryFilter(in BatchOperator, instances []string, types []model.SummaryType) *SummaryFilter {
 	return &SummaryFilter{Input: in, Instances: instances, Types: types}
 }
 
@@ -182,12 +149,7 @@ func (f *SummaryFilter) Keep(o *model.SummaryObject) bool {
 }
 
 // Open opens the input.
-func (f *SummaryFilter) Open() error {
-	if f.BatchSize > 1 {
-		f.bin = ToBatch(f.Input, f.BatchSize)
-	}
-	return f.Input.Open()
-}
+func (f *SummaryFilter) Open() error { return f.Input.Open() }
 
 // apply filters one row's summary set, returning the input row
 // unchanged when it carries no summaries.
@@ -213,21 +175,11 @@ func (f *SummaryFilter) apply(row *Row) *Row {
 	return out
 }
 
-// Next filters the next row's summary set.
-func (f *SummaryFilter) Next() (res *Row, err error) {
-	defer recoverOp("SummaryFilter", &err)
-	row, err := f.Input.Next()
-	if err != nil || row == nil {
-		return nil, err
-	}
-	return f.apply(row), nil
-}
-
 // NextBatch filters each live row's summary set in place in the
 // consumed batch's container.
 func (f *SummaryFilter) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("SummaryFilter", &err)
-	b, err = f.bin.NextBatch(qc)
+	b, err = f.Input.NextBatch(qc)
 	if err != nil || b == nil {
 		return nil, err
 	}

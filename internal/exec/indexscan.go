@@ -58,9 +58,9 @@ type SummaryIndexScan struct {
 	// concatenating the shares in partition order reproduces the serial
 	// sorted run exactly. Ignored (whole hit list) in ordered mode.
 	Part PartitionSpec
-	// BatchSize > 1 means the compiler drives this scan through
-	// NextBatch; Next() is unaffected either way. Batching preserves the
-	// fetch order of both modes (it only groups consecutive rows).
+	// BatchSize is the row capacity of a batch (<= 1: batches of one).
+	// Batching preserves the fetch order of both modes (it only groups
+	// consecutive rows).
 	BatchSize int
 	// BatchStart > 0 makes the first batch that many rows, doubling per
 	// batch up to BatchSize.
@@ -164,32 +164,6 @@ func (s *SummaryIndexScan) Open() (err error) {
 	return nil
 }
 
-// Next fetches the next qualifying data tuple.
-func (s *SummaryIndexScan) Next() (row *Row, err error) {
-	defer recoverOp("SummaryIndexScan", &err)
-	for {
-		if s.bufPos < len(s.buf) {
-			row := s.buf[s.bufPos]
-			s.buf[s.bufPos] = nil
-			s.bufPos++
-			return row, nil
-		}
-		if s.pos >= len(s.hits) {
-			return nil, nil
-		}
-		if err := s.qc.tick(); err != nil {
-			return nil, err
-		}
-		if s.SortedFetch && !s.ConventionalPointers {
-			s.fillRun()
-			continue
-		}
-		if row, ok := s.nextHit(); ok {
-			return row, nil
-		}
-	}
-}
-
 // nextHit dereferences hits[pos] in the per-RID modes (ordered fetch,
 // or any fetch with conventional pointers), advancing the cursor; ok is
 // false for a stale hit the caller should skip.
@@ -219,14 +193,14 @@ func (s *SummaryIndexScan) nextHit() (*Row, bool) {
 
 // NextBatch fills a row vector from the hit list, draining page runs in
 // sorted mode and dereferencing hit by hit otherwise. Row order within
-// and across batches equals the row-at-a-time order exactly; only the
-// cancellation cadence changes (one poll per batch).
+// and across batches is the hit-list order whatever the batch size;
+// cancellation is polled per tickEvery rows.
 func (s *SummaryIndexScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("SummaryIndexScan", &err)
-	if err := qc.check(); err != nil {
+	size := s.grow.size(s.BatchSize)
+	if err := qc.tickRows(size); err != nil {
 		return nil, err
 	}
-	size := s.grow.size(s.BatchSize)
 	b = GetBatch(size)
 	for b.Len() < size {
 		if s.bufPos < len(s.buf) {

@@ -35,7 +35,7 @@ func TestSummaryIndexScanBackwardAndConventional(t *testing.T) {
 	f, sIdx, _ := indexedFixture(t, 16)
 	// Disease = 2 matches i%4 == 2.
 	scan := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpEq, 2, true)
-	rows, err := Collect(scan)
+	rows, err := Collect(NewBatchToRow(scan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestSummaryIndexScanBackwardAndConventional(t *testing.T) {
 	// Conventional pointers return the same rows, paying extra reads.
 	conv := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpEq, 2, true)
 	conv.ConventionalPointers = true
-	convRows, err := Collect(conv)
+	convRows, err := Collect(NewBatchToRow(conv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestSummaryIndexScanBackwardAndConventional(t *testing.T) {
 
 	// No propagation: summary sets absent.
 	bare := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpEq, 2, false)
-	bareRows, err := Collect(bare)
+	bareRows, err := Collect(NewBatchToRow(bare))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSummaryIndexScanBackwardAndConventional(t *testing.T) {
 	// Descending reverses the count order.
 	desc := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0, true)
 	desc.Descending = true
-	descRows, err := Collect(desc)
+	descRows, err := Collect(NewBatchToRow(desc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +166,11 @@ func TestSummaryIndexScanFetchModesAgree(t *testing.T) {
 		sorted.ConventionalPointers = conv
 		sorted.SortedFetch = true
 
-		oRows, err := Collect(ordered)
+		oRows, err := Collect(NewBatchToRow(ordered))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sRows, err := Collect(sorted)
+		sRows, err := Collect(NewBatchToRow(sorted))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestSummaryIndexScanFetchStats(t *testing.T) {
 	f, sIdx, _ := indexedFixture(t, 32)
 	sorted := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 1, false)
 	sorted.SortedFetch = true
-	rows, err := Collect(sorted)
+	rows, err := Collect(NewBatchToRow(sorted))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestSummaryIndexScanFetchStats(t *testing.T) {
 		t.Errorf("sorted fetch pinned %d pages for %d distinct", fs.PagesPinned, fs.DistinctPages)
 	}
 	ordered := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 1, false)
-	if _, err := Collect(ordered); err != nil {
+	if _, err := Collect(NewBatchToRow(ordered)); err != nil {
 		t.Fatal(err)
 	}
 	ofs := ordered.FetchStats()
@@ -284,7 +284,7 @@ func TestSummaryIndexScanPartitionedConcatenation(t *testing.T) {
 	f, sIdx, _ := indexedFixture(t, 48)
 	serial := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 1, true)
 	serial.SortedFetch = true
-	want, err := Collect(serial)
+	want, err := Collect(NewBatchToRow(serial))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestSummaryIndexScanPartitionedConcatenation(t *testing.T) {
 		part := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 1, true)
 		part.SortedFetch = true
 		part.Part = PartitionSpec{Index: idx, Of: of}
-		rows, err := Collect(part)
+		rows, err := Collect(NewBatchToRow(part))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +319,7 @@ func TestSummaryIndexScanBudget(t *testing.T) {
 	tight := NewBudget(2, 0, 0) // Disease >= 0 collects all 16 hits
 	scan := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0, false)
 	scan.SetContext(NewQueryCtx(nil, tight))
-	_, err := Collect(scan)
+	_, err := Collect(NewBatchToRow(scan))
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want budget exceeded", err)
 	}
@@ -334,7 +334,7 @@ func TestSummaryIndexScanBudget(t *testing.T) {
 	roomy := NewBudget(100, 0, 0)
 	ok := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0, false)
 	ok.SetContext(NewQueryCtx(nil, roomy))
-	rows, err := Collect(ok)
+	rows, err := Collect(NewBatchToRow(ok))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestSummaryIndexScanCancelled(t *testing.T) {
 	cancel()
 	scan := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0, true)
 	scan.SetContext(NewQueryCtx(ctx, nil))
-	if _, err := Collect(scan); !errors.Is(err, context.Canceled) {
+	if _, err := Collect(NewBatchToRow(scan)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -2,8 +2,17 @@ package exec
 
 import "repro/internal/model"
 
-// Iterator is the Volcano operator interface: Open, a stream of Next
-// calls returning (nil, nil) at end-of-stream, and Close.
+// Operator is the lifecycle every physical operator shares. An
+// operator produces its output through exactly one of two protocols:
+// rows (Iterator) or row vectors (BatchOperator).
+type Operator interface {
+	Open() error
+	Close() error
+	Schema() *model.Schema
+}
+
+// Iterator is the Volcano row protocol: Open, a stream of Next calls
+// returning (nil, nil) at end-of-stream, and Close.
 //
 // Ownership rule: a row returned by Next (or inside a Batch returned by
 // NextBatch) belongs to the caller and stays valid indefinitely — the
@@ -14,10 +23,8 @@ import "repro/internal/model"
 // input's rows; joins point into both sides), so a consumer that wants
 // to mutate a row must copy it first (Row.Clone).
 type Iterator interface {
-	Open() error
+	Operator
 	Next() (*Row, error)
-	Close() error
-	Schema() *model.Schema
 }
 
 // Collect drains an iterator into a slice, handling Open/Close. Close

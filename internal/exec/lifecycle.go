@@ -70,14 +70,22 @@ const tickEvery = 64
 // producing a single row. Safe for concurrent use: worker goroutines
 // of a parallel fragment share one counter, which only makes polling
 // slightly more frequent than 1/tickEvery per goroutine.
-func (q *QueryCtx) tick() error {
+func (q *QueryCtx) tick() error { return q.tickRows(1) }
+
+// tickRows is the cancellation check before producing a batch of up to
+// n rows: it advances the poll counter by n and polls whenever that
+// crosses a tickEvery boundary, so batches of one poll exactly as often
+// as per-row ticks and batches of tickEvery rows or more poll every
+// time.
+func (q *QueryCtx) tickRows(n int) error {
 	if q == nil || q.ctx == nil {
 		return nil
 	}
 	if p := q.done.Load(); p != nil {
 		return *p
 	}
-	if q.ticks.Add(1)%tickEvery != 1 {
+	end := q.ticks.Add(uint64(n))
+	if (end-uint64(n)+tickEvery-1)/tickEvery == (end+tickEvery-1)/tickEvery {
 		return nil
 	}
 	return q.poll()
@@ -121,8 +129,8 @@ type ContextSetter interface {
 
 // SetIterContext installs qc on an iterator when it supports one
 // (no-op otherwise) — the recursive step operators use on children.
-func SetIterContext(it Iterator, qc *QueryCtx) {
-	if cs, ok := it.(ContextSetter); ok {
+func SetIterContext(op Operator, qc *QueryCtx) {
+	if cs, ok := op.(ContextSetter); ok {
 		cs.SetContext(qc)
 	}
 }

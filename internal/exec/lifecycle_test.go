@@ -74,6 +74,7 @@ func TestCancellationStopsIteration(t *testing.T) {
 }
 
 func TestCancellationMidSort(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir()) // count only this test's sort runs
 	schema, rows := intRows(200)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -102,7 +103,7 @@ func (p *panicIter) SetContext(qc *QueryCtx) {}
 
 func TestOperatorPanicBecomesOpError(t *testing.T) {
 	schema := model.NewSchema("t", model.Column{Name: "v", Kind: model.KindInt})
-	f := NewFilter(&panicIter{schema: schema}, mustExpr(t, "v > 0"), nil)
+	f := NewBatchToRow(NewFilter(NewRowToBatch(&panicIter{schema: schema}, 1), mustExpr(t, "v > 0"), nil))
 	SetIterContext(f, NewQueryCtx(context.Background(), nil))
 	_, err := Collect(f)
 	var oe *OpError
@@ -118,6 +119,7 @@ func TestOperatorPanicBecomesOpError(t *testing.T) {
 }
 
 func TestSortDegradesToSpillUnderBudget(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir()) // count only this test's sort runs
 	schema, rows := intRows(300)
 	before := sortRunFiles(t)
 	// Room for ~40 rows in memory, ample spill.
@@ -149,6 +151,7 @@ func TestSortDegradesToSpillUnderBudget(t *testing.T) {
 }
 
 func TestSortSpillBudgetIsHardLimit(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir()) // count only this test's sort runs
 	schema, rows := intRows(500)
 	before := sortRunFiles(t)
 	// Tiny memory budget forces spilling, and the spill allowance is too
@@ -192,6 +195,7 @@ func (e *errAfterIter) Close() error          { return nil }
 func (e *errAfterIter) Schema() *model.Schema { return e.schema }
 
 func TestSortMidOpenFailureRemovesRuns(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir()) // count only this test's sort runs
 	schema := model.NewSchema("t", model.Column{Name: "v", Kind: model.KindInt})
 	before := sortRunFiles(t)
 	s := NewExternalSort(&errAfterIter{schema: schema, n: 100}, // several 8-row runs, then error

@@ -8,19 +8,15 @@ import (
 
 // Limit passes through at most N rows.
 type Limit struct {
-	Input Iterator
+	Input BatchOperator
 	N     int
-	// BatchSize > 1 means the compiler drives this node through
-	// NextBatch; Next() is unaffected either way.
-	BatchSize int
 
 	seen int
-	bin  BatchOperator
 	qc   *QueryCtx
 }
 
 // NewLimit builds a LIMIT node.
-func NewLimit(in Iterator, n int) *Limit { return &Limit{Input: in, N: n} }
+func NewLimit(in BatchOperator, n int) *Limit { return &Limit{Input: in, N: n} }
 
 // SetContext installs the per-query lifecycle and forwards it below.
 func (l *Limit) SetContext(qc *QueryCtx) {
@@ -31,9 +27,6 @@ func (l *Limit) SetContext(qc *QueryCtx) {
 // Open opens the input.
 func (l *Limit) Open() error {
 	l.seen = 0
-	if l.BatchSize > 1 {
-		l.bin = ToBatch(l.Input, l.BatchSize)
-	}
 	return l.Input.Open()
 }
 
@@ -43,7 +36,7 @@ func (l *Limit) NextBatch(qc *QueryCtx) (*Batch, error) {
 	if l.seen >= l.N {
 		return nil, nil
 	}
-	b, err := l.bin.NextBatch(qc)
+	b, err := l.Input.NextBatch(qc)
 	if err != nil || b == nil {
 		return nil, err
 	}
@@ -52,19 +45,6 @@ func (l *Limit) NextBatch(qc *QueryCtx) (*Batch, error) {
 	}
 	l.seen += b.Len()
 	return b, nil
-}
-
-// Next returns the next row while under the limit.
-func (l *Limit) Next() (*Row, error) {
-	if l.seen >= l.N {
-		return nil, nil
-	}
-	row, err := l.Input.Next()
-	if err != nil || row == nil {
-		return nil, err
-	}
-	l.seen++
-	return row, nil
 }
 
 // Close closes the input.

@@ -71,7 +71,7 @@ func mustExpr(t *testing.T, src string) sql.Expr {
 
 func TestSeqScanWithAndWithoutSummaries(t *testing.T) {
 	f := newOpsFixture(t, 10, 5)
-	rows, err := Collect(NewSeqScan(f.r, "r", true))
+	rows, err := Collect(NewBatchToRow(NewSeqScan(f.r, "r", true)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestSeqScanWithAndWithoutSummaries(t *testing.T) {
 	if rows[0].SetFor("r") == nil {
 		t.Error("alias set missing")
 	}
-	bare, err := Collect(NewSeqScan(f.r, "r", false))
+	bare, err := Collect(NewBatchToRow(NewSeqScan(f.r, "r", false)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestPredicateFilterOverDataAndSummaries(t *testing.T) {
 	f := newOpsFixture(t, 12, 0)
 	scan := NewSeqScan(f.r, "r", true)
 	filt := NewFilter(scan, mustExpr(t, "r.a > 8"), nil)
-	rows, err := Collect(filt)
+	rows, err := Collect(NewBatchToRow(filt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestPredicateFilterOverDataAndSummaries(t *testing.T) {
 	}
 	ssel := NewSummarySelect(NewSeqScan(f.r, "r", true),
 		mustExpr(t, "r.$.getSummaryObject('C1').getLabelValue('Disease') = 2"), nil)
-	rows, err = Collect(ssel)
+	rows, err = Collect(NewBatchToRow(ssel))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestPredicateFilterOverDataAndSummaries(t *testing.T) {
 func TestSummaryFilterKeepsMatchingObjects(t *testing.T) {
 	f := newOpsFixture(t, 3, 0)
 	sf := NewSummaryFilter(NewSeqScan(f.r, "r", true), []string{"C1"}, nil)
-	rows, err := Collect(sf)
+	rows, err := Collect(NewBatchToRow(sf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +139,14 @@ func TestSummaryFilterKeepsMatchingObjects(t *testing.T) {
 	}
 	// Filter by type that matches nothing: tuples remain, sets empty.
 	sf2 := NewSummaryFilter(NewSeqScan(f.r, "r", true), nil, []model.SummaryType{model.SummarySnippet})
-	rows2, _ := Collect(sf2)
+	rows2, _ := Collect(NewBatchToRow(sf2))
 	if len(rows2) != 3 || len(rows2[0].Tuple.Summaries) != 0 {
 		t.Errorf("type filter: %d rows, %d objects", len(rows2), len(rows2[0].Tuple.Summaries))
 	}
 	// Instance+type combined.
 	sf3 := NewSummaryFilter(NewSeqScan(f.r, "r", true),
 		[]string{"C1"}, []model.SummaryType{model.SummaryClassifier})
-	rows3, _ := Collect(sf3)
+	rows3, _ := Collect(NewBatchToRow(sf3))
 	if len(rows3[0].Tuple.Summaries) != 1 {
 		t.Error("combined filter dropped matching object")
 	}
@@ -162,7 +162,7 @@ func TestProjectComputesExpressions(t *testing.T) {
 			mustExpr(t, "r.a * 2"),
 			mustExpr(t, "r.$.getSummaryObject('C1').getLabelValue('Disease')"),
 		}, out, nil)
-	rows, err := Collect(p)
+	rows, err := Collect(NewBatchToRow(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestProjectComputesExpressions(t *testing.T) {
 
 func TestNLJoinMergesAndPreservesOuterOrder(t *testing.T) {
 	f := newOpsFixture(t, 6, 12)
-	j := NewNLJoin(NewSeqScan(f.r, "r", true), NewSeqScan(f.s, "s", true),
+	j := NewNLJoin(NewBatchToRow(NewSeqScan(f.r, "r", true)), NewBatchToRow(NewSeqScan(f.s, "s", true)),
 		mustExpr(t, "r.a = s.x"), true, nil)
 	rows, err := Collect(j)
 	if err != nil {
@@ -206,12 +206,12 @@ func TestIndexJoinAgreesWithNLJoin(t *testing.T) {
 	if _, err := f.s.CreateDataIndex("x"); err != nil {
 		t.Fatal(err)
 	}
-	nl, err := Collect(NewNLJoin(NewSeqScan(f.r, "r", true), NewSeqScan(f.s, "s", true),
+	nl, err := Collect(NewNLJoin(NewBatchToRow(NewSeqScan(f.r, "r", true)), NewBatchToRow(NewSeqScan(f.s, "s", true)),
 		mustExpr(t, "r.a = s.x"), true, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ij, err := Collect(NewIndexJoin(NewSeqScan(f.r, "r", true), f.s, "s", "x",
+	ij, err := Collect(NewIndexJoin(NewBatchToRow(NewSeqScan(f.r, "r", true)), f.s, "s", "x",
 		mustExpr(t, "r.a"), nil, true, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestIndexJoinResidualPredicate(t *testing.T) {
 	if _, err := f.s.CreateDataIndex("x"); err != nil {
 		t.Fatal(err)
 	}
-	ij, err := Collect(NewIndexJoin(NewSeqScan(f.r, "r", true), f.s, "s", "x",
+	ij, err := Collect(NewIndexJoin(NewBatchToRow(NewSeqScan(f.r, "r", true)), f.s, "s", "x",
 		mustExpr(t, "r.a"), mustExpr(t, "s.z = 'z09'"), true, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -255,11 +255,11 @@ func TestSortInMemoryAndExternalAgree(t *testing.T) {
 		{Expr: mustExpr(t, "r.$.getSummaryObject('C1').getLabelValue('Disease')"), Desc: true},
 		{Expr: mustExpr(t, "r.a")},
 	}
-	mem, err := Collect(NewSort(NewSeqScan(f.r, "r", true), keys, nil))
+	mem, err := Collect(NewSort(NewBatchToRow(NewSeqScan(f.r, "r", true)), keys, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := Collect(NewExternalSort(NewSeqScan(f.r, "r", true), keys, 7, nil))
+	ext, err := Collect(NewExternalSort(NewBatchToRow(NewSeqScan(f.r, "r", true)), keys, 7, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestGroupByAggregates(t *testing.T) {
 		{Func: "avg", Arg: mustExpr(t, "r.a"), Name: "mean"},
 	}
 	// Group by a % 2 parity via an expression key.
-	g := NewGroupBy(NewSeqScan(f.r, "r", true),
+	g := NewGroupBy(NewBatchToRow(NewSeqScan(f.r, "r", true)),
 		[]sql.Expr{mustExpr(t, "r.a / 7")}, aggs, nil)
 	rows, err := Collect(g)
 	if err != nil {
@@ -326,7 +326,7 @@ func TestGroupByAggregates(t *testing.T) {
 
 func TestLimitAndDistinct(t *testing.T) {
 	f := newOpsFixture(t, 10, 0)
-	rows, err := Collect(NewLimit(NewSeqScan(f.r, "r", false), 3))
+	rows, err := Collect(NewBatchToRow(NewLimit(NewSeqScan(f.r, "r", false), 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestLimitAndDistinct(t *testing.T) {
 	// summaries.
 	out := model.NewSchema("", model.Column{Name: "k", Kind: model.KindInt})
 	p := NewProject(NewSeqScan(f.r, "r", true), []sql.Expr{mustExpr(t, "1")}, out, nil)
-	d, err := Collect(NewDistinct(p, nil))
+	d, err := Collect(NewDistinct(NewBatchToRow(p), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestSummaryEffectProjectEliminates(t *testing.T) {
 	f := newOpsFixture(t, 1, 0)
 	// The fixture's annotations are row-level; add one column-level
 	// annotation on b and rebuild the summary to include it.
-	rows, _ := Collect(NewSeqScan(f.r, "r", true))
+	rows, _ := Collect(NewBatchToRow(NewSeqScan(f.r, "r", true)))
 	oid := rows[0].Tuple.OID
 	colAnn := f.cat.Anns.Add(oid, "column note", []string{"b"}, "u")
 	set := f.r.GetSummaries(oid).Clone()
@@ -371,7 +371,7 @@ func TestSummaryEffectProjectEliminates(t *testing.T) {
 	// Keep only column a: the b-attached annotation's effect vanishes.
 	sp := NewSummaryEffectProject(NewSeqScan(f.r, "r", true), []string{"a"},
 		f.cat.Anns.ForTuple, f.cat.Anns.Lookup())
-	got, err := Collect(sp)
+	got, err := Collect(NewBatchToRow(sp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestSummaryEffectProjectEliminates(t *testing.T) {
 	// Keeping b retains it.
 	sp2 := NewSummaryEffectProject(NewSeqScan(f.r, "r", true), []string{"a", "b"},
 		f.cat.Anns.ForTuple, f.cat.Anns.Lookup())
-	got2, _ := Collect(sp2)
+	got2, _ := Collect(NewBatchToRow(sp2))
 	if v, _ := got2[0].Tuple.Summaries.Get("C1").GetLabelValue("Other"); v != 2 {
 		t.Errorf("full Other = %d, want 2", v)
 	}

@@ -20,7 +20,7 @@ func partitionedScans(f *opsFixture, dop int, propagate bool) []Iterator {
 	for i := range workers {
 		s := NewSeqScan(f.r, "r", propagate)
 		s.Part = PartitionSpec{Index: i, Of: dop}
-		workers[i] = s
+		workers[i] = NewBatchToRow(s)
 	}
 	return workers
 }
@@ -30,7 +30,7 @@ func rowKey(r *Row) string { return r.Tuple.String() + " " + r.Tuple.Summaries.S
 
 func TestGatherMatchesSerialScan(t *testing.T) {
 	f := newOpsFixture(t, 40, 0) // PageCap 8 -> 5 pages
-	serial, err := Collect(NewSeqScan(f.r, "r", true))
+	serial, err := Collect(NewBatchToRow(NewSeqScan(f.r, "r", true)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +53,13 @@ func TestGatherMatchesSerialScan(t *testing.T) {
 func TestGatherWithFilterPipeline(t *testing.T) {
 	f := newOpsFixture(t, 40, 0)
 	pred := "r.a > 10"
-	serial, err := Collect(NewFilter(NewSeqScan(f.r, "r", false), mustExpr(t, pred), nil))
+	serial, err := Collect(NewBatchToRow(NewFilter(NewSeqScan(f.r, "r", false), mustExpr(t, pred), nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	workers := partitionedScans(f, 3, false)
 	for i, w := range workers {
-		workers[i] = NewFilter(w, mustExpr(t, pred), nil)
+		workers[i] = NewBatchToRow(NewFilter(NewRowToBatch(w, 1), mustExpr(t, pred), nil))
 	}
 	par, err := Collect(NewGather(workers))
 	if err != nil {
@@ -87,7 +87,7 @@ func TestParallelGroupByMatchesSerial(t *testing.T) {
 			{Func: "avg", Arg: mustExpr(t, "r.a"), Name: "mean"},
 		}
 	}
-	serial, err := Collect(NewGroupBy(NewSeqScan(f.r, "r", true), keys(), aggs(), nil))
+	serial, err := Collect(NewGroupBy(NewBatchToRow(NewSeqScan(f.r, "r", true)), keys(), aggs(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestParallelGroupByMatchesSerial(t *testing.T) {
 
 func TestParallelHashJoinMatchesSerial(t *testing.T) {
 	f := newOpsFixture(t, 9, 40)
-	serial, err := Collect(NewHashJoin(NewSeqScan(f.r, "r", true), NewSeqScan(f.s, "s", true),
+	serial, err := Collect(NewHashJoin(NewBatchToRow(NewSeqScan(f.r, "r", true)), NewBatchToRow(NewSeqScan(f.s, "s", true)),
 		mustExpr(t, "r.a"), mustExpr(t, "s.x"), nil, true, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -121,9 +121,9 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 		for i := range builds {
 			b := NewSeqScan(f.s, "s", true)
 			b.Part = PartitionSpec{Index: i, Of: dop}
-			builds[i] = b
+			builds[i] = NewBatchToRow(b)
 		}
-		par, err := Collect(NewParallelHashJoin(NewSeqScan(f.r, "r", true), builds,
+		par, err := Collect(NewParallelHashJoin(NewBatchToRow(NewSeqScan(f.r, "r", true)), builds,
 			mustExpr(t, "r.a"), mustExpr(t, "s.x"), nil, true, nil))
 		if err != nil {
 			t.Fatalf("dop %d: %v", dop, err)
@@ -212,9 +212,9 @@ func TestParallelBuildBudgetRelease(t *testing.T) {
 	for i := range builds {
 		b := NewSeqScan(f.s, "s", false)
 		b.Part = PartitionSpec{Index: i, Of: 3}
-		builds[i] = b
+		builds[i] = NewBatchToRow(b)
 	}
-	j := NewParallelHashJoin(NewSeqScan(f.r, "r", false), builds,
+	j := NewParallelHashJoin(NewBatchToRow(NewSeqScan(f.r, "r", false)), builds,
 		mustExpr(t, "r.a"), mustExpr(t, "s.x"), nil, false, nil)
 	budget := NewBudget(10, 0, 0) // build side is 40 rows
 	SetIterContext(j, NewQueryCtx(context.Background(), budget))

@@ -19,15 +19,11 @@ const projectSlabRows = 256
 // once, below all merges, in SummaryEffectProject — later projections
 // are pure column manipulation (the paper's Figure 3, step 4).
 type Project struct {
-	Input  Iterator
+	Input  BatchOperator
 	Exprs  []sql.Expr
 	Out    *model.Schema
 	Lookup model.AnnotationLookup
-	// BatchSize > 1 means the compiler drives this projection through
-	// NextBatch; Next() is unaffected either way.
-	BatchSize int
 
-	bin   BatchOperator
 	exprs []boundExpr
 	qc    *QueryCtx
 
@@ -40,7 +36,7 @@ type Project struct {
 }
 
 // NewProject builds a projection with a pre-computed output schema.
-func NewProject(in Iterator, exprs []sql.Expr, out *model.Schema, lookup model.AnnotationLookup) *Project {
+func NewProject(in BatchOperator, exprs []sql.Expr, out *model.Schema, lookup model.AnnotationLookup) *Project {
 	return &Project{Input: in, Exprs: exprs, Out: out, Lookup: lookup}
 }
 
@@ -55,9 +51,6 @@ func (p *Project) Open() (err error) {
 	defer recoverOp("Project", &err)
 	p.exprs = (&Evaluator{Schema: p.Input.Schema(), Lookup: p.Lookup}).bindAll(p.Exprs)
 	p.slabRows, p.slabTuples, p.slabVals, p.slabPos = nil, nil, nil, 0
-	if p.BatchSize > 1 {
-		p.bin = ToBatch(p.Input, p.BatchSize)
-	}
 	return p.Input.Open()
 }
 
@@ -75,16 +68,6 @@ func (p *Project) carve() (*Row, *model.Tuple, []model.Value) {
 	i := p.slabPos
 	p.slabPos++
 	return &p.slabRows[i], &p.slabTuples[i], p.slabVals[i*k : (i+1)*k : (i+1)*k]
-}
-
-// Next projects the next row.
-func (p *Project) Next() (res *Row, err error) {
-	defer recoverOp("Project", &err)
-	row, err := p.Input.Next()
-	if err != nil || row == nil {
-		return nil, err
-	}
-	return p.project(row)
 }
 
 // project evaluates the bound expressions over row into carved storage.
@@ -108,7 +91,7 @@ func (p *Project) project(row *Row) (*Row, error) {
 // overwrites an input row still to be read.
 func (p *Project) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("Project", &err)
-	b, err = p.bin.NextBatch(qc)
+	b, err = p.Input.NextBatch(qc)
 	if err != nil || b == nil {
 		return nil, err
 	}
@@ -138,19 +121,15 @@ func (p *Project) Schema() *model.Schema { return p.Out }
 // decrement, snippets of dropped annotations disappear, and cluster
 // groups shrink with representative re-election.
 type SummaryEffectProject struct {
-	Input Iterator
+	Input BatchOperator
 	// KeptColumns is the lower-cased set of this table's columns the
 	// query references anywhere (projection, predicates, joins, sort).
 	KeptColumns map[string]bool
 	// Annotations fetches a tuple's raw annotations.
 	Annotations func(tupleOID int64) []*model.Annotation
 	Lookup      model.AnnotationLookup
-	// BatchSize > 1 means the compiler drives this node through
-	// NextBatch; Next() is unaffected either way.
-	BatchSize int
 
-	bin BatchOperator
-	qc  *QueryCtx
+	qc *QueryCtx
 }
 
 // SetContext installs the per-query lifecycle and forwards it below.
@@ -161,7 +140,7 @@ func (p *SummaryEffectProject) SetContext(qc *QueryCtx) {
 
 // NewSummaryEffectProject builds the node. keptColumns are matched
 // case-insensitively.
-func NewSummaryEffectProject(in Iterator, keptColumns []string,
+func NewSummaryEffectProject(in BatchOperator, keptColumns []string,
 	annotations func(int64) []*model.Annotation, lookup model.AnnotationLookup) *SummaryEffectProject {
 	kept := make(map[string]bool, len(keptColumns))
 	for _, c := range keptColumns {
@@ -172,12 +151,7 @@ func NewSummaryEffectProject(in Iterator, keptColumns []string,
 }
 
 // Open opens the input.
-func (p *SummaryEffectProject) Open() error {
-	if p.BatchSize > 1 {
-		p.bin = ToBatch(p.Input, p.BatchSize)
-	}
-	return p.Input.Open()
-}
+func (p *SummaryEffectProject) Open() error { return p.Input.Open() }
 
 // apply rewrites one row's summaries, returning the input row unchanged
 // when it carries none.
@@ -204,21 +178,11 @@ func (p *SummaryEffectProject) apply(row *Row) *Row {
 	return out
 }
 
-// Next rewrites the next row's summaries.
-func (p *SummaryEffectProject) Next() (res *Row, err error) {
-	defer recoverOp("SummaryEffectProject", &err)
-	row, err := p.Input.Next()
-	if err != nil || row == nil {
-		return nil, err
-	}
-	return p.apply(row), nil
-}
-
 // NextBatch rewrites each live row's summaries in place in the consumed
 // batch's container.
 func (p *SummaryEffectProject) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("SummaryEffectProject", &err)
-	b, err = p.bin.NextBatch(qc)
+	b, err = p.Input.NextBatch(qc)
 	if err != nil || b == nil {
 		return nil, err
 	}

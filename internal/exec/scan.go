@@ -27,8 +27,7 @@ type SeqScan struct {
 	Alias     string
 	Propagate bool
 	Part      PartitionSpec
-	// BatchSize > 1 means the compiler drives this scan through
-	// NextBatch; Next() is unaffected either way.
+	// BatchSize is the row capacity of a batch (<= 1: batches of one).
 	BatchSize int
 	// BatchStart > 0 makes the first batch that many rows, doubling per
 	// batch up to BatchSize.
@@ -85,59 +84,38 @@ func (s *SeqScan) Open() (err error) {
 	return nil
 }
 
-// Next returns the next tuple.
-func (s *SeqScan) Next() (row *Row, err error) {
-	defer recoverOp("SeqScan", &err)
-	if err := s.qc.tick(); err != nil {
-		return nil, err
-	}
-	_, oid, values, ok := s.cursor.Next()
-	if !ok {
-		return nil, nil
-	}
-	t := &model.Tuple{OID: oid, Values: values}
-	if s.Propagate {
-		t.Summaries = s.Table.GetSummaries(oid)
-	}
-	return &Row{Tuple: t, AliasSets: aliasSet(s.Alias, t.Summaries)}, nil
-}
-
-// NextBatch fills a row vector from the cursor. Row and Tuple storage
-// is carved from one per-batch slab (one allocation per batch instead
-// of two per row, and none in steady state with TransientRows), and
-// the per-alias summary map is skipped entirely for rows without
-// summaries — SetFor falls back to Tuple.Summaries, which is
-// observationally identical. Cancellation is polled once per batch; the
-// deferred panic trap is likewise paid once per batch.
+// NextBatch fills a row vector from the cursor, one page run at a time.
+// Row and Tuple storage is carved from one per-batch slab (one
+// allocation per batch instead of two per row, and none in steady state
+// with TransientRows), and the per-alias summary map is skipped
+// entirely for rows without summaries — SetFor falls back to
+// Tuple.Summaries, which is observationally identical. Cancellation is
+// polled per tickEvery rows; the deferred panic trap is paid once per
+// batch.
 func (s *SeqScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("SeqScan", &err)
-	if err := qc.check(); err != nil {
+	size := s.grow.size(s.BatchSize)
+	if err := qc.tickRows(size); err != nil {
 		return nil, err
 	}
-	size := s.grow.size(s.BatchSize)
 	b = GetBatch(size)
 	var slab []scanSlot
-	n := 0
-	for n < size {
-		_, oid, values, ok := s.cursor.Next()
-		if !ok {
-			break
-		}
+	n := s.cursor.Fill(size, func(_ heap.RID, oid int64, values []model.Value) {
 		if slab == nil {
-			// Lazily carve the slab so the terminal empty batch costs
-			// nothing.
+			// Carved lazily so the terminal empty batch costs nothing.
 			slab = s.slab(size)
 		}
-		sl := &slab[n]
-		sl.tuple = model.Tuple{OID: oid, Values: values}
-		sl.row = Row{Tuple: &sl.tuple}
+		// Only the fields a scan sets: a recycled slot's others are
+		// still zero, since Propagate is fixed for the scan's lifetime.
+		sl := &slab[b.Len()]
+		sl.tuple.OID, sl.tuple.Values = oid, values
+		sl.row.Tuple = &sl.tuple
 		if s.Propagate {
 			sl.tuple.Summaries = s.Table.GetSummaries(oid)
 			sl.row.AliasSets = aliasSet(s.Alias, sl.tuple.Summaries)
 		}
 		b.Append(&sl.row)
-		n++
-	}
+	})
 	if n == 0 {
 		b.Release()
 		return nil, nil
@@ -149,7 +127,7 @@ func (s *SeqScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 // TransientRows the scan's recycled one, whose previous batch is dead
 // by contract.
 func (s *SeqScan) slab(size int) []scanSlot {
-	if !s.TransientRows || s.BatchSize <= 1 {
+	if !s.TransientRows {
 		return make([]scanSlot, size)
 	}
 	if s.reused == nil {

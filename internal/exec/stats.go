@@ -11,9 +11,10 @@ import (
 
 // This file is the EXPLAIN ANALYZE instrumentation layer: a lightweight
 // per-operator stats recorder attached by wrapping each physical
-// operator in a statsIter. The non-ANALYZE path never allocates a
-// wrapper, so ordinary queries pay nothing; an ANALYZE run pays two
-// accountant snapshots (a handful of atomic loads) per Volcano call.
+// operator in a statsIter (row operators) or statsBatch (batch
+// operators). The non-ANALYZE path never allocates a wrapper, so
+// ordinary queries pay nothing; an ANALYZE run pays two accountant
+// snapshots (a handful of atomic loads) per Next or NextBatch call.
 
 // OpStats accumulates one operator's runtime metrics. All figures are
 // inclusive of the operator's children — the Volcano protocol means a
@@ -26,7 +27,8 @@ type OpStats struct {
 
 	// Opens counts Open calls (rescans re-open; 1 for ordinary plans).
 	Opens int64
-	// NextCalls counts Next invocations, including the final EOS call.
+	// NextCalls counts Next (row operators) or NextBatch (batch
+	// operators) invocations, including the final EOS call.
 	NextCalls int64
 	// Rows counts non-nil rows emitted.
 	Rows int64
@@ -101,13 +103,14 @@ func NewStatsCollector(acct *pager.Accountant) *StatsCollector {
 	return &StatsCollector{Acct: acct, stats: make(map[any]*OpStats)}
 }
 
-// Wrap instruments it under the given key, registering (and returning)
-// a recording wrapper. Wrapping the same key twice reuses its OpStats.
-func (c *StatsCollector) Wrap(key any, it Iterator) Iterator {
+// Wrap instruments op under the given key, registering (and returning)
+// a recording wrapper that speaks op's protocol, rows or batches.
+// Wrapping the same key twice reuses its OpStats.
+func (c *StatsCollector) Wrap(key any, op Operator) Operator {
 	if c == nil {
-		return it
+		return op
 	}
-	return &statsIter{child: it, st: c.register(key, it), coll: c, acct: c.Acct}
+	return c.wrap(key, op, false)
 }
 
 // WrapWorker instruments one worker's copy of a parallel plan fragment.
@@ -118,20 +121,33 @@ func (c *StatsCollector) Wrap(key any, it Iterator) Iterator {
 // observed by the enclosing serial operator's window (the parallel
 // GroupBy/HashJoin build runs entirely inside its own Open). All
 // workers wrapping the same key merge into one OpStats at Close.
-func (c *StatsCollector) WrapWorker(key any, it Iterator) Iterator {
+func (c *StatsCollector) WrapWorker(key any, op Operator) Operator {
 	if c == nil {
-		return it
+		return op
 	}
-	return &statsIter{child: it, st: c.register(key, it), coll: c, worker: true}
+	return c.wrap(key, op, true)
+}
+
+// wrap builds the recorder for op: a batch operator's NextBatch calls
+// count as its nexts, a row operator's Next calls as its.
+func (c *StatsCollector) wrap(key any, op Operator, worker bool) Operator {
+	r := statsOp{child: op, st: c.register(key, op), coll: c, worker: worker}
+	if !worker {
+		r.acct = c.Acct
+	}
+	if bo, ok := op.(BatchOperator); ok {
+		return &statsBatch{statsOp: r, batches: bo}
+	}
+	return &statsIter{statsOp: r, rows: op.(Iterator)}
 }
 
 // register finds or creates the shared OpStats for key.
-func (c *StatsCollector) register(key any, it Iterator) *OpStats {
+func (c *StatsCollector) register(key any, op Operator) *OpStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st, ok := c.stats[key]
 	if !ok {
-		st = &OpStats{Name: OpName(it)}
+		st = &OpStats{Name: OpName(op)}
 		c.stats[key] = st
 		c.order = append(c.order, st)
 	}
@@ -171,12 +187,13 @@ type fetchReporter interface {
 	FetchStats() FetchStats
 }
 
-// statsIter is the recording decorator around one physical operator.
+// statsOp is the recording decorator around one physical operator.
 // It accumulates into the private acc and folds it into the shared
 // per-key OpStats under the collector's lock at Close, so recorders on
 // different goroutines (parallel workers) never write st concurrently.
-type statsIter struct {
-	child  Iterator
+// statsIter and statsBatch add the row and batch protocols.
+type statsOp struct {
+	child  Operator
 	st     *OpStats
 	coll   *StatsCollector
 	acct   *pager.Accountant
@@ -186,20 +203,29 @@ type statsIter struct {
 	acc OpStats // private accumulator, flushed at Close
 }
 
+// statsIter records a row operator.
+type statsIter struct {
+	statsOp
+	rows Iterator
+}
+
+// statsBatch records a batch operator.
+type statsBatch struct {
+	statsOp
+	batches BatchOperator
+}
+
 // SetContext grabs the query budget for charge attribution and forwards
 // the lifecycle to the wrapped operator.
-func (w *statsIter) SetContext(qc *QueryCtx) {
+func (w *statsOp) SetContext(qc *QueryCtx) {
 	if !w.worker {
 		w.budget = qc.Budget()
 	}
 	SetIterContext(w.child, qc)
 }
 
-// Unwrap exposes the wrapped operator (tests and OpName reach through).
-func (w *statsIter) Unwrap() Iterator { return w.child }
-
 // sample begins one measurement window.
-func (w *statsIter) sample() (time.Time, pager.Stats, [3]int64) {
+func (w *statsOp) sample() (time.Time, pager.Stats, [3]int64) {
 	var totals [3]int64
 	if w.worker {
 		return time.Now(), pager.Stats{}, totals
@@ -209,7 +235,7 @@ func (w *statsIter) sample() (time.Time, pager.Stats, [3]int64) {
 }
 
 // commit closes a measurement window into the accumulator.
-func (w *statsIter) commit(wall *time.Duration, start time.Time, io0 pager.Stats, b0 [3]int64) {
+func (w *statsOp) commit(wall *time.Duration, start time.Time, io0 pager.Stats, b0 [3]int64) {
 	*wall += time.Since(start)
 	if w.worker {
 		return
@@ -223,7 +249,7 @@ func (w *statsIter) commit(wall *time.Duration, start time.Time, io0 pager.Stats
 
 // flush folds the private accumulator into the shared OpStats and
 // resets it, so repeated Open/Close cycles (rescans) keep adding up.
-func (w *statsIter) flush() {
+func (w *statsOp) flush() {
 	w.coll.mu.Lock()
 	w.st.merge(&w.acc)
 	w.coll.mu.Unlock()
@@ -249,7 +275,7 @@ func (s *OpStats) merge(o *OpStats) {
 	s.DistinctPages += o.DistinctPages
 }
 
-func (w *statsIter) Open() error {
+func (w *statsOp) Open() error {
 	start, io0, b0 := w.sample()
 	err := w.child.Open()
 	w.acc.Opens++
@@ -259,7 +285,7 @@ func (w *statsIter) Open() error {
 
 func (w *statsIter) Next() (*Row, error) {
 	start, io0, b0 := w.sample()
-	row, err := w.child.Next()
+	row, err := w.rows.Next()
 	w.acc.NextCalls++
 	if row != nil {
 		w.acc.Rows++
@@ -270,18 +296,12 @@ func (w *statsIter) Next() (*Row, error) {
 
 // NextBatch instruments the batch path: one measurement window per
 // batch (that amortization is much of the vectorized win). Rows counts
-// every live row, so EXPLAIN ANALYZE "rows" is identical to row mode;
-// "nexts" counts batch calls.
-func (w *statsIter) NextBatch(qc *QueryCtx) (*Batch, error) {
-	bo, ok := w.child.(BatchOperator)
-	if !ok {
-		// Never reached for compiler-built plans (statsIter only exposes
-		// NextBatch when its child is batch-native); fail loudly for
-		// hand-built trees.
-		panic("exec: NextBatch through stats wrapper on a row-only operator")
-	}
+// every live row, so EXPLAIN ANALYZE "rows" is independent of the batch
+// size; "nexts" counts batch calls, which for batches of one equal the
+// row protocol's Next calls.
+func (w *statsBatch) NextBatch(qc *QueryCtx) (*Batch, error) {
 	start, io0, b0 := w.sample()
-	b, err := bo.NextBatch(qc)
+	b, err := w.batches.NextBatch(qc)
 	w.acc.NextCalls++
 	if b != nil {
 		w.acc.Rows += int64(b.Len())
@@ -290,7 +310,7 @@ func (w *statsIter) NextBatch(qc *QueryCtx) (*Batch, error) {
 	return b, err
 }
 
-func (w *statsIter) Close() error {
+func (w *statsOp) Close() error {
 	start, io0, b0 := w.sample()
 	err := w.child.Close()
 	w.commit(&w.acc.CloseWall, start, io0, b0)
@@ -307,13 +327,15 @@ func (w *statsIter) Close() error {
 	return err
 }
 
-func (w *statsIter) Schema() *model.Schema { return w.child.Schema() }
+func (w *statsOp) Schema() *model.Schema { return w.child.Schema() }
 
 // OpName names a physical operator for display. Wrappers are unwrapped;
 // unknown types fall back to their Go type name.
-func OpName(it Iterator) string {
+func OpName(it Operator) string {
 	switch op := it.(type) {
 	case *statsIter:
+		return OpName(op.child)
+	case *statsBatch:
 		return OpName(op.child)
 	case *SeqScan:
 		return "SeqScan"

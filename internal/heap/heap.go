@@ -813,19 +813,32 @@ func (f *File[T]) RangeCursor(startPage, endPage int) *Cursor[T] {
 
 // Next advances to the next live record, returning ok=false at the end.
 func (c *Cursor[T]) Next() (rid RID, oid int64, val T, ok bool) {
-	var zero T
-	for c.page < c.end {
+	ok = c.Fill(1, func(r RID, o int64, v T) { rid, oid, val = r, o, v }) == 1
+	return rid, oid, val, ok
+}
+
+// Fill advances over up to max live records, calling yield with each,
+// and returns how many it visited — Next for a batch, resolving each
+// page once per page instead of once per record. A page is read (and
+// counted) when the cursor first enters it, exactly as with Next.
+func (c *Cursor[T]) Fill(max int, yield func(rid RID, oid int64, val T)) int {
+	n := 0
+	for n < max && c.page < c.end {
 		if !c.readPage {
 			c.f.acct.Read(1)
 			c.readPage = true
 		}
-		p := c.curPage()
-		for p != nil && c.slot < len(p.slots) {
-			rec := &p.slots[c.slot]
-			s := c.slot
-			c.slot++
-			if rec.live {
-				return RID{Page: int32(c.page), Slot: int32(s)}, rec.oid, rec.val, true
+		if p := c.curPage(); p != nil {
+			for c.slot < len(p.slots) && n < max {
+				rec := &p.slots[c.slot]
+				c.slot++
+				if rec.live {
+					yield(RID{Page: int32(c.page), Slot: int32(c.slot - 1)}, rec.oid, rec.val)
+					n++
+				}
+			}
+			if n == max {
+				return n
 			}
 		}
 		c.releasePage()
@@ -833,7 +846,7 @@ func (c *Cursor[T]) Next() (rid RID, oid int64, val T, ok bool) {
 		c.slot = 0
 		c.readPage = false
 	}
-	return RID{}, 0, zero, false
+	return n
 }
 
 func (c *Cursor[T]) curPage() *page[T] {

@@ -17,7 +17,7 @@ import (
 // An index-answered predicate needs no summaries at all (the Figure 13
 // no-propagation case), which is what makes backward pointers pay off.
 func Compile(n plan.Node, env *Env, opts Options) (exec.Iterator, error) {
-	return compile(n, env, opts, env.Propagate)
+	return compileRows(n, env, opts, env.Propagate)
 }
 
 func usesDollar(exprs ...sql.Expr) bool {
@@ -57,34 +57,58 @@ func deferrableLeaf(n plan.Node) *scanLeaf {
 	return nil
 }
 
-// compile lowers one node; need reports whether operators above n
-// require summary sets on n's output rows. With a stats collector in
-// opts, every produced operator is wrapped in a per-operator runtime
-// recorder keyed by its logical node, so EXPLAIN ANALYZE can join
-// estimates and actuals over the plan tree. Inside a parallel worker
-// the concurrency-safe worker recorders are used instead: all workers
-// of one fragment share the same logical nodes, so their rows and Next
-// calls merge into one OpStats per node.
-func compile(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator, error) {
-	it, err := compileNode(n, env, opts, need)
+// compile lowers one node to an operator of either protocol, rows or
+// batches; need reports whether operators above n require summary sets
+// on n's output rows. With a stats collector in opts, every produced
+// operator is wrapped in a per-operator runtime recorder keyed by its
+// logical node, so EXPLAIN ANALYZE can join estimates and actuals over
+// the plan tree. Inside a parallel worker the concurrency-safe worker
+// recorders are used instead: all workers of one fragment share the
+// same logical nodes, so their rows and Next calls merge into one
+// OpStats per node.
+func compile(n plan.Node, env *Env, opts Options, need bool) (exec.Operator, error) {
+	op, err := compileNode(n, env, opts, need)
 	if err != nil {
-		return it, err
+		return nil, err
 	}
 	if opts.Collector != nil {
 		if opts.inWorker {
-			it = opts.Collector.WrapWorker(n, it)
+			op = opts.Collector.WrapWorker(n, op)
 		} else {
-			it = opts.Collector.Wrap(n, it)
+			op = opts.Collector.Wrap(n, op)
 		}
 	}
-	if planBatchSize(n) > 1 && !opts.batchParent {
-		// Top of a vectorized segment: cap it with the batch-to-row shim
-		// so everything above (sorts, joins, Gather workers, result
-		// collection) keeps speaking rows. The shim sits outside the
-		// stats recorder, so EXPLAIN ANALYZE observes the batch cadence.
-		it = exec.NewBatchToRow(it)
+	return op, nil
+}
+
+// compileRows lowers n for a row consumer — a sort, join, aggregate,
+// Distinct, Gather worker or the result drain. A streaming segment is
+// read through the batch-to-row shim, which sits outside the segment
+// top's stats recorder, so EXPLAIN ANALYZE observes the batch cadence.
+func compileRows(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator, error) {
+	op, err := compile(n, env, opts, need)
+	if err != nil {
+		return nil, err
 	}
-	return it, nil
+	if bo, ok := op.(exec.BatchOperator); ok {
+		return exec.NewBatchToRow(bo), nil
+	}
+	return op.(exec.Iterator), nil
+}
+
+// compileBatch lowers the input of a streaming operator. Inside a
+// marked segment that is the next batch operator down; an unmarked
+// operator runs as batches of one and reads a row input (a sort, join
+// or aggregate) one row per batch.
+func compileBatch(n plan.Node, env *Env, opts Options, need bool) (exec.BatchOperator, error) {
+	op, err := compile(n, env, opts, need)
+	if err != nil {
+		return nil, err
+	}
+	if bo, ok := op.(exec.BatchOperator); ok {
+		return bo, nil
+	}
+	return exec.NewRowToBatch(op.(exec.Iterator), 1), nil
 }
 
 // compileWorkers lowers a Gather fragment's child once per partition.
@@ -98,27 +122,19 @@ func compileWorkers(g *plan.GatherNode, env *Env, opts Options, need bool, wrapT
 		wopts := opts
 		wopts.inWorker = true
 		wopts.part = exec.PartitionSpec{Index: i, Of: g.DOP}
-		it, err := compile(g.Child, env, wopts, need)
+		it, err := compileRows(g.Child, env, wopts, need)
 		if err != nil {
 			return nil, err
 		}
 		if wrapTop && opts.Collector != nil {
-			it = opts.Collector.WrapWorker(g, it)
+			it = opts.Collector.WrapWorker(g, it).(exec.Iterator)
 		}
 		workers[i] = it
 	}
 	return workers, nil
 }
 
-// childBatchOpts threads the batchParent flag to a marked node's child:
-// a batched operator drives its (equally marked) child through
-// NextBatch, so the child must not be capped with its own shim.
-func childBatchOpts(opts Options, batch int) Options {
-	opts.batchParent = batch > 1
-	return opts
-}
-
-func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator, error) {
+func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Operator, error) {
 	// Only a batched Project, filter (σ or S) or limit passes
 	// transientRows on.
 	transient := opts.transientRows
@@ -159,18 +175,14 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator,
 	case *plan.SummaryProject:
 		if !need {
 			// Effect projection only transforms summaries; skip it when
-			// nothing above reads them. The batchParent flag passes
-			// through untouched: the marked child takes over as the
-			// segment member the parent drives.
+			// nothing above reads them.
 			return compile(node.Child, env, opts, false)
 		}
-		child, err := compile(node.Child, env, childBatchOpts(opts, node.Batch), true)
+		child, err := compileBatch(node.Child, env, opts, true)
 		if err != nil {
 			return nil, err
 		}
-		p := exec.NewSummaryEffectProject(child, node.Kept, env.Annotations, env.Lookup)
-		p.BatchSize = node.Batch
-		return p, nil
+		return exec.NewSummaryEffectProject(child, node.Kept, env.Annotations, env.Lookup), nil
 
 	case *plan.Select:
 		dollar := usesDollar(node.Pred)
@@ -181,42 +193,37 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator,
 		if need && !dollar && node.Batch > 1 {
 			leaf = deferrableLeaf(node.Child)
 		}
-		copts := childBatchOpts(opts, node.Batch)
+		copts := opts
 		copts.transientRows = transient && node.Batch > 1
-		child, err := compile(node.Child, env, copts, dollar || (need && leaf == nil))
+		child, err := compileBatch(node.Child, env, copts, dollar || (need && leaf == nil))
 		if err != nil {
 			return nil, err
 		}
 		f := exec.NewFilter(child, node.Pred, env.Lookup)
-		f.BatchSize = node.Batch
 		if leaf != nil {
 			f.AttachFrom, f.AttachAlias = leaf.table, leaf.alias
 		}
 		return f, nil
 
 	case *plan.SummarySelect:
-		copts := childBatchOpts(opts, node.Batch)
+		copts := opts
 		copts.transientRows = transient && node.Batch > 1
-		child, err := compile(node.Child, env, copts, true)
+		child, err := compileBatch(node.Child, env, copts, true)
 		if err != nil {
 			return nil, err
 		}
-		f := exec.NewSummarySelect(child, node.Pred, env.Lookup)
-		f.BatchSize = node.Batch
-		return f, nil
+		return exec.NewSummarySelect(child, node.Pred, env.Lookup), nil
 
 	case *plan.SummaryFilterNode:
-		child, err := compile(node.Child, env, childBatchOpts(opts, node.Batch), need)
+		child, err := compileBatch(node.Child, env, opts, need)
 		if err != nil {
 			return nil, err
 		}
-		f := exec.NewSummaryFilter(child, node.Instances, node.Types)
-		f.BatchSize = node.Batch
-		return f, nil
+		return exec.NewSummaryFilter(child, node.Instances, node.Types), nil
 
 	case *plan.Join:
 		childNeed := need || usesDollar(node.On, node.Residual)
-		left, err := compile(node.Left, env, opts, childNeed)
+		left, err := compileRows(node.Left, env, opts, childNeed)
 		if err != nil {
 			return nil, err
 		}
@@ -242,7 +249,7 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator,
 			return exec.NewParallelHashJoin(left, builds, node.HashLeft, node.HashRight,
 				node.Residual, need, env.Lookup), nil
 		}
-		right, err := compile(node.Right, env, opts, childNeed)
+		right, err := compileRows(node.Right, env, opts, childNeed)
 		if err != nil {
 			return nil, err
 		}
@@ -253,7 +260,7 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator,
 		return exec.NewNLJoin(left, right, node.On, need, env.Lookup), nil
 
 	case *plan.SummaryJoin:
-		left, err := compile(node.Left, env, opts, true)
+		left, err := compileRows(node.Left, env, opts, true)
 		if err != nil {
 			return nil, err
 		}
@@ -267,7 +274,7 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator,
 			j.FetchSummaries = true
 			return j, nil
 		}
-		right, err := compile(node.Right, env, opts, true)
+		right, err := compileRows(node.Right, env, opts, true)
 		if err != nil {
 			return nil, err
 		}
@@ -280,7 +287,7 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator,
 		for i := range node.Keys {
 			keyExprs[i] = node.Keys[i].Expr
 		}
-		child, err := compile(node.Child, env, opts, need || usesDollar(keyExprs...))
+		child, err := compileRows(node.Child, env, opts, need || usesDollar(keyExprs...))
 		if err != nil {
 			return nil, err
 		}
@@ -312,7 +319,7 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator,
 			}
 			return exec.NewParallelGroupBy(workers, node.Keys, node.Aggs, env.Lookup), nil
 		}
-		child, err := compile(node.Child, env, opts, childNeed)
+		child, err := compileRows(node.Child, env, opts, childNeed)
 		if err != nil {
 			return nil, err
 		}
@@ -321,33 +328,29 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator,
 	case *plan.ProjectNode:
 		// A batched projection copies each input row's values, OID and
 		// summary references into rows of its own.
-		copts := childBatchOpts(opts, node.Batch)
+		copts := opts
 		copts.transientRows = node.Batch > 1
-		child, err := compile(node.Child, env, copts, need || usesDollar(node.Exprs...))
+		child, err := compileBatch(node.Child, env, copts, need || usesDollar(node.Exprs...))
 		if err != nil {
 			return nil, err
 		}
-		p := exec.NewProject(child, node.Exprs, node.Out, env.Lookup)
-		p.BatchSize = node.Batch
-		return p, nil
+		return exec.NewProject(child, node.Exprs, node.Out, env.Lookup), nil
 
 	case *plan.DistinctNode:
-		child, err := compile(node.Child, env, opts, need)
+		child, err := compileRows(node.Child, env, opts, need)
 		if err != nil {
 			return nil, err
 		}
 		return exec.NewDistinct(child, env.Lookup), nil
 
 	case *plan.LimitNode:
-		copts := childBatchOpts(opts, node.Batch)
+		copts := opts
 		copts.transientRows = transient && node.Batch > 1
-		child, err := compile(node.Child, env, copts, need)
+		child, err := compileBatch(node.Child, env, copts, need)
 		if err != nil {
 			return nil, err
 		}
-		l := exec.NewLimit(child, node.N)
-		l.BatchSize = node.Batch
-		return l, nil
+		return exec.NewLimit(child, node.N), nil
 
 	default:
 		return nil, fmt.Errorf("optimizer: cannot compile %T", n)

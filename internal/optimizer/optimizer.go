@@ -61,12 +61,12 @@ type Options struct {
 	// exceeds the table's page count, so small tables stay serial.
 	MaxParallelWorkers int
 	// MaxBatchSize caps the row-batch capacity of vectorized pipeline
-	// segments (scan → filter → project chains exchanging row vectors
-	// instead of single rows). 0 means the engine default (1024 unless
-	// the engine is configured otherwise; the optimizer alone treats 0
-	// as no vectorization); 1 disables vectorization entirely — pure
-	// row-at-a-time plans, byte-identical to the pre-vectorized engine.
-	// Values above exec.MaxBatchSize are clamped.
+	// segments (scan → filter → project chains exchanging row vectors).
+	// 0 means the engine default (1024 unless the engine is configured
+	// otherwise; the optimizer alone treats 0 as no vectorization); 1
+	// means batches of one everywhere, with the plans, EXPLAIN output
+	// and results of the row-at-a-time engine. Values above
+	// exec.MaxBatchSize are clamped.
 	MaxBatchSize int
 	// Budget is a per-query resource-limit template overriding the DB
 	// default: pipeline breakers (Sort, HashJoin, GroupBy, Distinct)
@@ -87,10 +87,6 @@ type Options struct {
 	// concurrency-safe worker recorders. Internal to the compiler.
 	part     exec.PartitionSpec
 	inWorker bool
-	// batchParent marks that the node being compiled has a batch-marked
-	// parent that will drive it through NextBatch, so the compiler must
-	// not cap it with a batch-to-row shim. Internal to the compiler.
-	batchParent bool
 	// transientRows marks that a batched Project above, reached through
 	// batched filters and limits only, copies out everything it keeps
 	// from its input rows, so a scan leaf's rows never outlive the next

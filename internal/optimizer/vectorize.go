@@ -7,19 +7,21 @@ import (
 
 // This file is the optimizer's vectorization pass: it marks pipeline
 // segments — chains of streaming operators over a single scan leaf —
-// as batched, so the compiler lowers them to operators exchanging row
-// vectors (exec.Batch) instead of single rows and caps each segment
-// with a batch-to-row shim. The pass runs last, after parallelize, so
-// it sees the final plan shape and marks the worker fragments under a
-// GatherNode too (each worker pipeline batches independently). With
-// MaxBatchSize <= 1 it is the identity and plans compile exactly as
-// before — the property the serial-golden identity tests pin.
+// with a batch size, so the compiler lowers them to operators
+// exchanging full row vectors (exec.Batch); unmarked streaming
+// operators run as batches of one. The pass runs last, after
+// parallelize, so it sees the final plan shape and marks the worker
+// fragments under a GatherNode too (each worker pipeline batches
+// independently). With MaxBatchSize <= 1 it is the identity: every
+// plan runs as batches of one, with the plans, EXPLAIN output and
+// results of the row-at-a-time engine — the property the serial-golden
+// identity tests pin.
 //
 // A LIMIT bounds the batches below it: a segment whose rows reach the
 // LIMIT through operators that keep every row (projections, an
 // eliminated sort, summary projections and filters) reads at most n
-// rows, so it batches min(cap, n) rows at a time — and runs row at a
-// time when that is 1. With a row-dropping filter in between, the scan
+// rows, so it batches min(cap, n) rows at a time — and stays unmarked,
+// as batches of one, when that is 1. With a row-dropping filter in between, the scan
 // starts at n rows and doubles per batch up to the cap, so a selective
 // filter still reaches full batches while an unselective one stops
 // after about n rows.
@@ -102,8 +104,8 @@ func vectorizeNode(n plan.Node, size int, bound rowBound) {
 }
 
 // markSegment sizes a vectorizable chain from the bound at its leaf and
-// marks it, leaving it row-at-a-time when the bound allows one row per
-// batch at most.
+// marks it, leaving it unmarked (batches of one) when the bound allows
+// one row per batch at most.
 func markSegment(top plan.Node, size int, bound rowBound) {
 	// Chain members have one child each; the scan leaf has none.
 	for n := top; len(n.Children()) == 1; n = n.Children()[0] {
@@ -176,28 +178,4 @@ func markBatch(n plan.Node, size, start int) {
 		v.Batch = size
 	}
 	markBatch(n.Children()[0], size, start)
-}
-
-// planBatchSize reports a node's batch mark (0 when unmarked); the
-// compiler uses it to place the segment-top shim.
-func planBatchSize(n plan.Node) int {
-	switch v := n.(type) {
-	case *plan.Scan:
-		return v.Batch
-	case *plan.SummaryIndexScanNode:
-		return v.Batch
-	case *plan.Select:
-		return v.Batch
-	case *plan.SummarySelect:
-		return v.Batch
-	case *plan.SummaryFilterNode:
-		return v.Batch
-	case *plan.SummaryProject:
-		return v.Batch
-	case *plan.ProjectNode:
-		return v.Batch
-	case *plan.LimitNode:
-		return v.Batch
-	}
-	return 0
 }

@@ -26,7 +26,8 @@ type Node interface {
 
 // batchSuffix renders the vectorization mark EXPLAIN shows on batched
 // leaf scans — "(batch=start..n)" when the batches grow from start —
-// and is empty in row mode so existing plans render unchanged.
+// and is empty for batches of one so MaxBatchSize 1 plans render as
+// the row-at-a-time engine's did.
 func batchSuffix(n, start int) string {
 	switch {
 	case n <= 1:
@@ -38,7 +39,7 @@ func batchSuffix(n, start int) string {
 }
 
 // vecSuffix marks a streaming operator lowered into a batched pipeline
-// segment; empty in row mode.
+// segment; empty for batches of one.
 func vecSuffix(n int) string {
 	if n > 1 {
 		return " (vectorized)"
